@@ -1,0 +1,1 @@
+"""The repository benchmark: workloads, layer tracer and runner (see README.md)."""
