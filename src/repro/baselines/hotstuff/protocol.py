@@ -43,12 +43,7 @@ class HotStuffDeployment:
         track_bytes: bool = False,
         crypto: Optional[CryptoContext] = None,
         sparse: bool = False,
-        columnar: bool = False,
     ) -> None:
-        # ``columnar`` is accepted for spec uniformity (A/B identity specs
-        # toggle it across every protocol); HotStuff's linear vote path
-        # keeps O(n) state per view, so there is nothing to columnarize.
-        del columnar
         self.config = config
         self.sim = Simulator()
         self.network = Network(

@@ -43,12 +43,7 @@ class PbftDeployment:
         track_bytes: bool = False,
         crypto: Optional[CryptoContext] = None,
         sparse: bool = False,
-        columnar: bool = False,
     ) -> None:
-        # ``columnar`` is accepted for spec uniformity (A/B identity specs
-        # toggle it across every protocol); PBFT's deterministic-quorum
-        # state is already flat, so there is nothing to columnarize.
-        del columnar
         self.config = config
         self.sim = Simulator()
         self.network = Network(

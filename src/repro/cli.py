@@ -305,16 +305,6 @@ def cmd_sweep(args) -> int:
     if args.columnar or args.track_memory:
         from dataclasses import replace as _replace
 
-        if args.columnar:
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                print(
-                    "--columnar requires numpy, which is not installed; "
-                    "install numpy or run without --columnar",
-                    file=sys.stderr,
-                )
-                return 2
         matrix = _replace(
             matrix,
             columnar=args.columnar or matrix.columnar,
@@ -671,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run every cell on the scale stack (sparse delivery + "
             "array-backed columnar vote state; golden-seed identical to "
-            "the dense reference, requires numpy)"
+            "the dense reference)"
         ),
     )
     p_sweep.add_argument(

@@ -19,23 +19,24 @@ preallocated numpy arrays shared by *all* replicas of a deployment:
   ``signer -> Signed`` map, from which a dst's prepared certificate is
   rebuilt *object-identical* to the dense collector's
   ``quorum_messages`` tuple (each signer contributes exactly one envelope
-  per slot).  Commit slots retain no messages at all — the same discipline
-  :class:`~repro.core.replica.BulkVoteDispatch` already applies.
+  per slot).  Commit slots retain no messages at all: commit quorums are
+  only ever asked ``has_quorum``.
 * **mirror columns** — ``views``/``blocked``/``decided``/``committed_cur``
   per replica, updated by the replica state machine at its (few) mutation
   points, so the delivery kernel classifies a whole fan-out bucket with
   vectorized gathers instead of attribute chases.
 
-Everything is behind the ``columnar=True`` deployment seam and follows the
-same contract as sparse delivery and gossip dissemination: a columnar run's
+This is the vote state of every sparse ProBFT deployment
+(``DeploymentSpec.with_sparse()``, the scale stack) and follows the same
+contract as sparse delivery and gossip dissemination: a sparse run's
 :class:`~repro.harness.trial.RunResult` is **bit-identical** to the dense
 run for the same seed.  The kernel declines (-1) any bucket it cannot prove
-equivalent — equivocal views, invalid votes, and deployments with network
+equivalent — non-votes, equivocal views, and deployments with network
 duplication (duplicate deliveries break the distinct-recipients invariant)
 — which then takes the generic per-recipient path through the same arrays.
 
-This module imports numpy at module level; import it lazily (the deployment
-does) so numpy stays an optional dependency.
+The deployment imports this module only when it builds a sparse stack, so
+dense runs never pay numpy's import cost.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import QuorumError
-from .replica import BulkVoteDispatch, prevalidate_vote
+from .replica import prevalidate_vote
 
 __all__ = [
     "ColumnarVoteState",
@@ -149,8 +150,8 @@ class _Slot:
             # hash, per message.
             self.msg_by_signer: Optional[list] = [None] * n
         else:
-            # Commit certificates are never extracted (BulkVoteDispatch
-            # discipline): commit slots only ever answer has_quorum.
+            # Commit certificates are never extracted: commit slots only
+            # ever answer has_quorum.
             self.order = None
             self.msg_by_signer = None
 
@@ -401,29 +402,51 @@ class ColumnarCollectorTable(dict):
 # The vectorized delivery kernel
 # ----------------------------------------------------------------------
 
-class ColumnarVoteDispatch(BulkVoteDispatch):
-    """Array-at-a-time twin of :class:`~repro.core.replica.BulkVoteDispatch`.
+class ColumnarVoteDispatch:
+    """One-call-per-bucket delivery kernel for Prepare/Commit fan-outs.
 
-    Classifies a whole coalesced Prepare/Commit bucket with vectorized
-    gathers over the mirror columns, applies the accepted votes as masked
-    scatters into the slot arrays, and only drops to scalar code at the
-    *stop points* dense mode also serializes on: Byzantine recipients
-    (arbitrary handlers) and quorum completions (which can record a
-    decision and flip the stop probe).  Between consecutive stop points
-    every recipient's update is independent — a fan-out's recipients are
-    distinct (VRF samples are drawn without replacement) and a delivery
-    only mutates its own recipient's columns — so applying a segment in
-    one shot reorders nothing observable.
+    :meth:`Network._deliver_fanout` hands a whole *raw* coalesced bucket
+    here.  The kernel prevalidates the vote once, classifies the bucket
+    with vectorized gathers over the mirror columns, applies the accepted
+    votes as masked scatters into the slot arrays, and only drops to scalar
+    code at the *stop points* dense mode also serializes on: Byzantine
+    recipients (arbitrary handlers) and quorum completions (which can
+    record a decision and flip the stop probe).  Between consecutive stop
+    points every recipient's update is independent — a fan-out's
+    recipients are distinct (VRF samples are drawn without replacement) and
+    a delivery only mutates its own recipient's columns — so applying a
+    segment in one shot reorders nothing observable.
+
+    Deliberate deviations from the generic path, all unobservable in a
+    :class:`~repro.harness.trial.RunResult`:
+
+    * adds to an already-fired slot are skipped outright — nothing ever
+      reads a quorum's senders/messages past the first ``q`` entries;
+    * Commit messages are not retained at all — only Prepare certificates
+      are ever extracted (``quorum_messages`` feeds ``NewLeader.cert``);
+    * the stop probe is consulted only after events that can actually
+      record a decision — between those the predicate is a constant, so
+      dense's per-delivery check returns the same answer.
 
     Decline rules (return -1, caller runs the generic path over the same
     arrays): non-votes, equivocal-flagged views, and any deployment with
     network duplication enabled — duplicated recipients would appear twice
     in one bucket and break the distinct-recipients invariant the masked
-    scatters rely on.  Invalid votes take the inherited per-recipient
-    ``_deliver_odd`` loop, exactly like the dense kernel.
+    scatters rely on.  Invalid votes take the scalar :meth:`_deliver_odd`
+    loop.  Otherwise returns the number of recipients delivered.
     """
 
-    __slots__ = ("_state", "_dup")
+    __slots__ = (
+        "_config",
+        "_crypto",
+        "_replicas",
+        "_correct",
+        "_handlers",
+        "_policy",
+        "_q",
+        "_state",
+        "_dup",
+    )
 
     def __init__(
         self,
@@ -436,7 +459,13 @@ class ColumnarVoteDispatch(BulkVoteDispatch):
         state: ColumnarVoteState,
         dup_possible: bool = False,
     ) -> None:
-        super().__init__(config, crypto, replicas, correct_ids, handlers, policy)
+        self._config = config
+        self._crypto = crypto
+        self._replicas = replicas
+        self._correct = frozenset(correct_ids)
+        self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
+        self._policy = policy
+        self._q = config.q
         self._state = state
         self._dup = dup_possible
 
@@ -668,4 +697,56 @@ class ColumnarVoteDispatch(BulkVoteDispatch):
             if probe is not None and delivered and probe():
                 return delivered
         delivered += span(start, D.shape[0])
+        return delivered
+
+    def _deliver_odd(self, src, message, token, dsts, probe) -> int:
+        """Per-recipient loop for votes that fail prevalidation.
+
+        Such a vote can never reach a collector, but it still has to be
+        routed: Byzantine recipients get it verbatim, future views buffer
+        it, and a leader-signed conflicting statement riding on it must
+        still be able to trigger lines 23-25.
+        """
+        view = token.view
+        value = token.value
+        eq_candidate = token.eq_candidate
+        correct = self._correct
+        replicas = self._replicas
+        handlers = self._handlers
+        delivered = 0
+        check_stop = False
+        for dst in dsts:
+            if check_stop:
+                if probe is not None and delivered and probe():
+                    return delivered
+                check_stop = False
+            if dst not in correct:
+                delivered += 1
+                handlers[dst](src, message)
+                check_stop = True
+                continue
+            replica = replicas[dst]
+            cur = replica._cur_view
+            if view != cur:
+                if cur == 0 or view < cur:
+                    continue
+                delivered += 1
+                replica._buffer_future(view, src, message)
+                continue
+            if token.is_prepare:
+                if view in replica._committed_views:
+                    continue
+            elif replica._decision is not None:
+                continue
+            if dst not in token.members:
+                continue
+            delivered += 1
+            if (
+                eq_candidate
+                and replica._voted
+                and not replica._block_view
+                and value != replica._cur_val
+            ):
+                replica._process_current(src, message)
+                check_stop = True
         return delivered

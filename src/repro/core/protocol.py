@@ -32,19 +32,6 @@ def default_value(replica: ReplicaId) -> Value:
     return f"value-{replica}".encode()
 
 
-def _is_pure_constant(latency: Optional[LatencyModel]) -> bool:
-    """Exactly the default/ConstantLatency model (no subclass surprises)."""
-    from ..net.latency import ConstantLatency
-
-    return latency is None or type(latency) is ConstantLatency
-
-
-def _is_no_chaos(chaos: Optional[ChaosPolicy]) -> bool:
-    from ..net.faults import NoChaos
-
-    return chaos is None or type(chaos) is NoChaos
-
-
 class ProBFTDeployment:
     """One consensus instance: n replicas, a network, and a clock.
 
@@ -74,7 +61,6 @@ class ProBFTDeployment:
         dissemination: str = "dense",
         gossip_fanout: Optional[int] = None,
         gossip_rounds: Optional[int] = None,
-        columnar: bool = False,
     ) -> None:
         if dissemination not in ("dense", "gossip"):
             raise ValueError(
@@ -82,29 +68,7 @@ class ProBFTDeployment:
             )
         self.config = config
         self.seed = seed
-        self.columnar = columnar
-        if columnar:
-            try:
-                from . import columnar as _columnar_mod
-            except ImportError as exc:  # pragma: no cover - env-dependent
-                raise RuntimeError(
-                    "columnar=True requires numpy, which is not installed; "
-                    "install numpy or build the deployment without columnar"
-                ) from exc
-        else:
-            _columnar_mod = None
-        # Pure-model fast path: with constant latency, no chaos and no
-        # duplication the event stream is the one _sparse_dispatch already
-        # single-buckets, so the columnar deployment also swaps in the
-        # structured-array ring queue (fire order identical to heap/bucket).
-        if columnar and (
-            duplicate_prob == 0.0
-            and _is_pure_constant(latency)
-            and _is_no_chaos(chaos)
-        ):
-            self.sim = Simulator(queue="ring")
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.network = Network(
             self.sim,
             config.n,
@@ -133,10 +97,13 @@ class ProBFTDeployment:
         )
         values = values or {}
 
-        # Shared columnar vote state: one set of arrays for every correct
-        # replica; the per-replica collector tables become facades over it.
-        if columnar:
-            self._columnar_state = _columnar_mod.ColumnarVoteState(
+        # Scale stack: one shared set of columnar vote arrays for every
+        # correct replica; the per-replica collector tables become facades
+        # over it.  Imported here so dense runs never load numpy.
+        if sparse:
+            from . import columnar
+
+            self._columnar_state = columnar.ColumnarVoteState(
                 config.n, config.q, self._correct_ids
             )
         else:
@@ -188,7 +155,6 @@ class ProBFTDeployment:
         self.sparse = sparse
         if sparse:
             from .observation import SampleObservationPolicy
-            from .replica import BulkVoteDispatch
 
             policy = SampleObservationPolicy(
                 config, self.byzantine_ids, self.replicas
@@ -198,33 +164,18 @@ class ProBFTDeployment:
                 self.network.register_batch(
                     r, self.replicas[r].on_sample_message
                 )
-            if columnar:
-                # BulkVoteDispatch reaches into dense collector internals
-                # the facades don't have; columnar deployments must install
-                # the array-at-a-time kernel instead.
-                self.network.use_bulk_handler(
-                    _columnar_mod.ColumnarVoteDispatch(
-                        config,
-                        self.crypto,
-                        self.replicas,
-                        self._correct_ids,
-                        self.network._handlers,
-                        policy,
-                        self._columnar_state,
-                        dup_possible=duplicate_prob > 0.0,
-                    )
+            self.network.use_bulk_handler(
+                columnar.ColumnarVoteDispatch(
+                    config,
+                    self.crypto,
+                    self.replicas,
+                    self._correct_ids,
+                    self.network._handlers,
+                    policy,
+                    self._columnar_state,
+                    dup_possible=duplicate_prob > 0.0,
                 )
-            else:
-                self.network.use_bulk_handler(
-                    BulkVoteDispatch(
-                        config,
-                        self.crypto,
-                        self.replicas,
-                        self._correct_ids,
-                        self.network._handlers,
-                        policy,
-                    )
-                )
+            )
         self._started = False
 
     # ------------------------------------------------------------------

@@ -181,38 +181,33 @@ Related large-n levers: the analytical estimators take
 ``vectorized=True`` (numpy batch kernels, bit-identical, fixed budgets
 only — see :mod:`repro.montecarlo.vectorized`), and
 ``benchmarks/bench_scale.py`` writes ``BENCH_scale.json`` (trials/sec ×
-n, dense vs sparse vs columnar vs gossip) — the scoreboard for scaling
+n, dense vs the scale stack vs gossip) — the scoreboard for scaling
 regressions.
 
-Choosing columnar state
-~~~~~~~~~~~~~~~~~~~~~~~
+One scale stack
+~~~~~~~~~~~~~~~
 
-Past n≈5000 the bottleneck moves from event *count* to per-event python
-cost: every coalesced fan-out still walks its recipients through dict-
-backed per-replica collectors.  ``DeploymentSpec.with_columnar()`` (on
-top of ``with_sparse()``) swaps the vote bookkeeping for one shared set
-of numpy arrays — packed-uint64 voter bitmaps, per-slot counters, and a
-bucket-wide dispatch kernel (:mod:`repro.core.columnar`) that applies a
-whole fan-out in a handful of masked scatters instead of a python loop
-per recipient.  Like sparse, columnar is **bit-identical** to dense on
-the same spec (``tests/test_columnar.py`` replays protocol × adversary
-cells both ways), so it also moves only wall-clock::
+There are two delivery configurations: dense (the reference) and the
+scale stack that ``with_sparse()`` selects.  For ProBFT the scale stack
+also replaces the per-replica dict-backed vote collectors with one
+shared set of numpy arrays (:mod:`repro.core.columnar`): packed-uint64
+voter bitmaps, per-slot counters, and a bucket-wide dispatch kernel that
+applies a whole fan-out in a handful of masked scatters instead of a
+python loop per recipient.  It stays **bit-identical** to dense on the
+same spec, so it moves only wall-clock::
 
     spec = cell_deployment_spec(cell, seed=seed, max_time=300.0)
-    result = run_trial(spec.with_sparse().with_columnar())  # n≈20,000 OK
+    result = run_trial(spec.with_sparse())  # n≈20,000 OK
 
 Or flip a whole sweep at once: ``MatrixCell(columnar=True)`` /
 ``ScenarioMatrix(columnar=True)`` / ``repro sweep --columnar`` run every
-cell on the sparse+columnar stack.  Requires numpy (the build raises a
-clear error without it); dense and sparse need none.  Rules of thumb:
+cell on the scale stack.  Rules of thumb:
 
-* **n ≤ 500** — plain dense; the reference path is fast enough and is
-  the oracle every seam is compared against.
-* **500 < n ≤ 5000** — ``with_sparse()``; columnar helps here too but
-  the array setup only clearly pays past ~10³ replicas.
-* **n > 5000** — ``with_sparse().with_columnar()``; at n=20,000 this is
-  the only stack that completes a trial in CI-scale wall-clock.  Add
-  ``track_memory=True`` (or ``--track-memory``) to watch peak heap.
+* **n ≤ 500** — plain dense is fast enough, and it is the oracle every
+  seam is compared against.
+* **n > 500** — ``with_sparse()``; at n=20,000 it is the only stack that
+  completes a trial in CI-scale wall-clock.  Add ``track_memory=True``
+  (or ``--track-memory``) to watch peak heap.
 
 Choosing a dissemination mode
 ~~~~~~~~~~~~~~~~~~~~~~~~~~~~~

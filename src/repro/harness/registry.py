@@ -198,9 +198,9 @@ class MatrixCell:
     """One (protocol, adversary, latency) combination at a fixed (n, f).
 
     ``track_bytes`` cells additionally account canonical-encoding bytes per
-    message, feeding the report's byte-cost columns.  ``columnar`` runs the
-    cell on the scale stack (sparse delivery + array-backed vote state,
-    golden-seed identical to dense — see :mod:`repro.core.columnar`);
+    message, feeding the report's byte-cost columns.  ``columnar`` selects
+    the scale stack (``DeploymentSpec.sparse``: coalesced delivery plus,
+    for ProBFT, array-backed vote state; golden-seed identical to dense);
     ``track_memory`` records each trial's peak heap in the result row's
     ``peak_mem_mb``.
     """
@@ -282,11 +282,9 @@ def cell_deployment_spec(
         timeout_policy=FixedTimeout(30.0),
         byzantine=behavior.byzantine_map(cell.protocol, config),
         track_bytes=cell.track_bytes,
-        # A columnar cell gets the full scale stack: the array-backed vote
-        # state only pays off behind coalesced fan-outs, and both toggles
-        # are golden-seed identical to the dense reference.
+        # A columnar cell runs on the scale stack, golden-seed identical to
+        # the dense reference.
         sparse=cell.columnar,
-        columnar=cell.columnar,
         track_memory=cell.track_memory,
         max_time=max_time,
         # Behaviors that attack the deployment itself (e.g. duplication's
@@ -358,7 +356,7 @@ class ScenarioMatrix:
     #: report columns; costs one canonical encode per distinct message).
     track_bytes: bool = False
     #: Run every cell on the scale stack (sparse delivery + columnar vote
-    #: state; golden-seed identical to dense).  Requires numpy.
+    #: state; golden-seed identical to dense).
     columnar: bool = False
     #: Record peak heap per trial; the report grows a ``mean_peak_mem_mb``
     #: column.  Telemetry only — roughly doubles wall clock.

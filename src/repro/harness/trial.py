@@ -156,10 +156,12 @@ class DeploymentSpec:
     duplicate_prob: float = 0.0
     #: Account per-message canonical-encoding bytes (costs one encode each).
     track_bytes: bool = False
-    #: Route multicasts through the deployment's sparse delivery policy
-    #: (coalesced fan-out events; see :mod:`repro.net.sparse`).  Golden-seed
-    #: equivalent to dense mode but orders of magnitude fewer simulator
-    #: events at large n.  Off by default: dense is the reference semantics.
+    #: Run the scale stack: multicasts go through the deployment's sparse
+    #: delivery policy (coalesced fan-out events; see
+    #: :mod:`repro.net.sparse`) and ProBFT keeps its votes in columnar
+    #: arrays (:mod:`repro.core.columnar`).  Golden-seed equivalent to dense
+    #: mode but orders of magnitude fewer simulator events at large n.  Off
+    #: by default: dense is the reference semantics.
     sparse: bool = False
     #: Leader-proposal dissemination: ``"dense"`` (reference semantics, an
     #: O(n) broadcast) or ``"gossip"`` (sample-and-forward with O(log n)
@@ -168,11 +170,6 @@ class DeploymentSpec:
     #: Gossip knobs; None means the protocol default ``⌈log2 n⌉ + 2``.
     gossip_fanout: Optional[int] = None
     gossip_rounds: Optional[int] = None
-    #: Columnar (array-backed) replica vote state; see
-    #: :mod:`repro.core.columnar`.  Golden-seed equivalent to the dense
-    #: object path but one order of magnitude more replicas fits in cache.
-    #: Requires numpy; off by default (dense is the reference semantics).
-    columnar: bool = False
     #: Record the trial's peak Python heap (tracemalloc) in
     #: :attr:`RunResult.peak_mem_mb`.  Costs ~2x wall clock; telemetry only
     #: — it never changes protocol behaviour.
@@ -186,12 +183,8 @@ class DeploymentSpec:
         return replace(self, seed=seed)
 
     def with_sparse(self, sparse: bool = True) -> "DeploymentSpec":
-        """The same trial with sparse delivery toggled (for A/B equivalence)."""
+        """The same trial with the scale stack toggled (for A/B equivalence)."""
         return replace(self, sparse=sparse)
-
-    def with_columnar(self, columnar: bool = True) -> "DeploymentSpec":
-        """The same trial with columnar vote state toggled (A/B identity)."""
-        return replace(self, columnar=columnar)
 
     def with_gossip(
         self,
@@ -223,9 +216,6 @@ class DeploymentSpec:
             # Only forwarded when set so third-party factories registered
             # before the sparse seam keep working untouched.
             kwargs["sparse"] = True
-        if self.columnar:
-            # Same only-when-set contract as ``sparse``.
-            kwargs["columnar"] = True
         if self.dissemination != "dense":
             # Same only-when-set contract as ``sparse``.
             kwargs["dissemination"] = self.dissemination

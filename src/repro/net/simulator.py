@@ -23,18 +23,6 @@ once the backlog crosses ``bucket_threshold``
 (:data:`repro.config.DEFAULT_SIM_TUNING`); migration re-groups the pending
 entries by time and sorts each bucket by sequence, so the switch is
 invisible to event ordering.  ``queue="heap"`` pins the reference behavior.
-
-A third representation, ``queue="ring"`` (requires numpy), targets the
-pure-model fast path (constant latency, no chaos) where almost every
-event of a fan-out lands on one of a handful of distinct future times:
-per-time buckets become flat ``int64`` arrays of packed
-``slot << 32 | generation`` entries pointing into a shared callback slot
-table.  Scheduling is an array append (amortized O(1), no per-event heap
-entry or Python list cell), and cancellation is **tombstone-free**: it
-bumps the slot's generation counter, so the queue needs no compaction
-sweeps — a stale entry is recognized (generation mismatch) and skipped in
-O(1) when its bucket drains.  Entries append in sequence order, so the
-fire order is bit-identical to the heap's ``(time, seq)`` order.
 """
 
 from __future__ import annotations
@@ -49,12 +37,7 @@ from ..errors import SimulationError
 
 Callback = Callable[[], None]
 
-_QUEUE_MODES = ("auto", "heap", "bucket", "ring")
-
-#: Initial per-time ring-bucket capacity (doubles on overflow).
-_RING_BUCKET_SEED = 16
-
-_GEN_MASK = 0xFFFFFFFF
+_QUEUE_MODES = ("auto", "heap", "bucket")
 
 
 def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
@@ -86,34 +69,6 @@ class EventHandle:
         return self._entry[3] is None
 
 
-class _RingHandle:
-    """Ring-queue event handle: same surface as :class:`EventHandle`.
-
-    Cancellation bumps the slot's generation counter instead of writing a
-    tombstone into the queue — the packed bucket entry goes stale and is
-    skipped (generation mismatch) when its bucket drains.
-    """
-
-    __slots__ = ("time", "seq", "_sim", "_slot", "_gen", "_dead")
-
-    def __init__(self, time: float, seq: int, sim, slot: int, gen: int) -> None:
-        self.time = time
-        self.seq = seq
-        self._sim = sim
-        self._slot = slot
-        self._gen = gen
-        self._dead = False
-
-    def cancel(self) -> None:
-        """Cancel the event if it has not fired yet (idempotent)."""
-        if self._sim._ring_cancel(self._slot, self._gen):
-            self._dead = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._dead
-
-
 class Simulator:
     """Virtual-time event loop.
 
@@ -122,7 +77,8 @@ class Simulator:
             time buckets past ``bucket_threshold`` pending events),
             ``"heap"`` (reference, never migrates), or ``"bucket"``
             (buckets from the first event).  All three fire events in the
-            same ``(time, seq)`` order.
+            same ``(time, seq)`` order (``tests/test_net_simulator.py``
+            replays random schedules against the heap).
         compact_floor: tombstone-compaction floor (default
             :data:`repro.config.DEFAULT_SIM_TUNING`).
         bucket_threshold: backlog size that flips ``"auto"`` to buckets
@@ -179,24 +135,6 @@ class Simulator:
         self._cur_time: float = 0.0
         self._cur_list: Optional[List[list]] = None
         self._cur_idx: int = 0
-        # Ring-mode state (numpy-backed; pinned, never migrates).
-        self._ring = queue == "ring"
-        if self._ring:
-            try:
-                import numpy
-            except ImportError as exc:
-                raise SimulationError(
-                    "queue='ring' requires numpy, which is not installed; "
-                    "use queue='auto'/'heap'/'bucket' instead"
-                ) from exc
-            self._np = numpy
-            self._ring_callbacks: List[Optional[Callback]] = []
-            self._ring_gen: List[int] = []
-            self._ring_free: List[int] = []
-            # time -> [int64 array of packed slot<<32|gen entries, count]
-            self._ring_buckets: Dict[float, list] = {}
-            self._cur_ring: Optional[list] = None
-
     @property
     def now(self) -> float:
         """Current virtual time."""
@@ -213,9 +151,7 @@ class Simulator:
 
     @property
     def queue_mode(self) -> str:
-        """The queue representation in use (``heap``/``bucket``/``ring``)."""
-        if self._ring:
-            return "ring"
+        """The queue representation in use (``heap`` or ``bucket``)."""
         return "bucket" if self._bucketed else "heap"
 
     # ------------------------------------------------------------------
@@ -278,8 +214,6 @@ class Simulator:
                 f"cannot schedule at {time} < now ({self._now})"
             )
         seq = next(self._seq)
-        if self._ring:
-            return self._ring_schedule(time, seq, callback)
         entry = [time, seq, None, callback]
         if self._bucketed:
             bucket = self._buckets.get(time)
@@ -299,115 +233,6 @@ class Simulator:
         handle = EventHandle(time=time, seq=seq, _entry=entry, _sim=self)
         entry[2] = handle
         return handle
-
-    # ------------------------------------------------------------------
-    # Ring queue (numpy-backed packed buckets + callback slot table)
-    # ------------------------------------------------------------------
-    def _ring_schedule(self, time: float, seq: int, callback: Callback):
-        free = self._ring_free
-        if free:
-            slot = free.pop()
-        else:
-            slot = len(self._ring_callbacks)
-            self._ring_callbacks.append(None)
-            self._ring_gen.append(0)
-        self._ring_callbacks[slot] = callback
-        gen = self._ring_gen[slot]
-        packed = (slot << 32) | gen
-        bucket = self._ring_buckets.get(time)
-        if bucket is None:
-            arr = self._np.empty(_RING_BUCKET_SEED, dtype=self._np.int64)
-            arr[0] = packed
-            self._ring_buckets[time] = [arr, 1]
-            heapq.heappush(self._time_heap, time)
-        else:
-            arr, count = bucket
-            if count == arr.shape[0]:
-                grown = self._np.empty(count * 2, dtype=self._np.int64)
-                grown[:count] = arr
-                bucket[0] = arr = grown
-            arr[count] = packed
-            bucket[1] = count + 1
-        self._live += 1
-        return _RingHandle(time, seq, self, slot, gen)
-
-    def _ring_cancel(self, slot: int, gen: int) -> bool:
-        """Invalidate (slot, gen) if still pending; True iff cancelled now.
-
-        Bumping the generation makes the packed bucket entry stale without
-        touching the bucket — the drain loop recognizes and skips it.
-        """
-        if self._ring_gen[slot] != gen or self._ring_callbacks[slot] is None:
-            return False
-        self._ring_gen[slot] = (gen + 1) & _GEN_MASK
-        self._ring_callbacks[slot] = None
-        self._ring_free.append(slot)
-        self._live -= 1
-        self._cancelled += 1
-        return True
-
-    def _ring_next_bucket(self) -> Optional[float]:
-        while self._time_heap:
-            time_ = heapq.heappop(self._time_heap)
-            bucket = self._ring_buckets.get(time_)
-            if bucket is None:
-                continue  # drained earlier + stale heap time
-            self._cur_time = time_
-            self._cur_ring = bucket
-            self._cur_idx = 0
-            return time_
-        return None
-
-    def _ring_step(self) -> bool:
-        gens = self._ring_gen
-        callbacks = self._ring_callbacks
-        while True:
-            bucket = self._cur_ring
-            if bucket is None:
-                if self._ring_next_bucket() is None:
-                    return False
-                continue
-            # Re-read the count each iteration: a callback scheduling at
-            # this exact time appends to this same bucket mid-drain (the
-            # bucket-mode contract).
-            if self._cur_idx >= bucket[1]:
-                del self._ring_buckets[self._cur_time]
-                self._cur_ring = None
-                continue
-            packed = int(bucket[0][self._cur_idx])
-            self._cur_idx += 1
-            slot = packed >> 32
-            gen = packed & _GEN_MASK
-            if gens[slot] != gen:
-                self._cancelled -= 1
-                continue  # stale: cancelled before firing
-            callback = callbacks[slot]
-            gens[slot] = (gen + 1) & _GEN_MASK  # consume: late cancel no-ops
-            callbacks[slot] = None
-            self._ring_free.append(slot)
-            self._live -= 1
-            self._now = self._cur_time
-            self._events_processed += 1
-            callback()
-            return True
-
-    def _ring_peek(self) -> Optional[float]:
-        gens = self._ring_gen
-        while True:
-            bucket = self._cur_ring
-            if bucket is not None:
-                arr = bucket[0]
-                while self._cur_idx < bucket[1]:
-                    packed = int(arr[self._cur_idx])
-                    if gens[packed >> 32] != packed & _GEN_MASK:
-                        self._cancelled -= 1
-                        self._cur_idx += 1
-                        continue
-                    return self._cur_time
-                del self._ring_buckets[self._cur_time]
-                self._cur_ring = None
-            if self._ring_next_bucket() is None:
-                return None
 
     def _migrate_to_buckets(self) -> None:
         """Re-group the heap backlog into per-time buckets (once).
@@ -437,8 +262,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process the single next event; returns False if none remain."""
-        if self._ring:
-            return self._ring_step()
         if self._bucketed:
             return self._bucket_step()
         while self._heap:
@@ -536,8 +359,6 @@ class Simulator:
             self._running = False
 
     def _peek_time(self) -> Optional[float]:
-        if self._ring:
-            return self._ring_peek()
         if self._bucketed:
             return self._bucket_peek()
         while self._heap:

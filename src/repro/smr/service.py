@@ -10,6 +10,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -258,14 +259,20 @@ class SMRDeployment:
         return {r: rep.log.app.snapshot() for r, rep in self.replicas.items()}
 
     def snapshots_consistent(self) -> bool:
-        """All correct replicas' app snapshots are semantically equal.
+        """Correct replicas at equal applied height hold equal app state.
 
-        Compares canonical encodings (:func:`~repro.crypto.hashing.
-        stable_encode`), not ``repr`` — two equal snapshots that differ
-        only in container iteration order (dict insertion order, set
-        ordering) must compare equal.
+        A serving run stops once every request has ``f + 1`` applies, so
+        healthy replicas may stop a slot or two apart; states at different
+        heights legitimately differ and are not compared
+        (:meth:`logs_consistent` checks that the applied sequences agree on
+        their common prefix).  Compares canonical encodings
+        (:func:`~repro.crypto.hashing.stable_encode`), not ``repr`` — two
+        equal snapshots that differ only in container iteration order
+        (dict insertion order, set ordering) must compare equal.
         """
-        encodings = {
-            stable_encode(snapshot) for snapshot in self.snapshots().values()
-        }
-        return len(encodings) <= 1
+        by_height: Dict[int, Set[bytes]] = {}
+        for replica in self.replicas.values():
+            by_height.setdefault(replica.log.applied_up_to, set()).add(
+                stable_encode(replica.log.app.snapshot())
+            )
+        return all(len(encodings) <= 1 for encodings in by_height.values())

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -237,3 +239,78 @@ class TestCancellationCompaction:
         # swept out of the heap.
         assert all(h.cancelled for h in doomed)
         assert not any(h.cancelled for h in handles[total // 2 + 1 :])
+
+
+def _replay_random_schedule(seed, queue, **tuning):
+    """Drive one seeded random schedule; return everything observable.
+
+    Callbacks reschedule (often at zero delay, into the bucket being
+    drained), cancel random handles (pending, already cancelled, or
+    already fired), and record the clock and ``pending_events`` as they
+    fire.  The schedule's randomness is drawn in fire order, so two queue
+    modes replay the same schedule only if they fire in the same order.
+    """
+    rng = random.Random(seed)
+    sim = Simulator(queue=queue, **tuning)
+    budget = rng.randint(20, 300)
+    handles = []
+    trace = []
+
+    def schedule():
+        label = len(handles)
+        # Few distinct delays: many events share one timestamp.
+        delay = rng.choice((0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5))
+        handles.append(sim.schedule(delay, lambda: fire(label)))
+
+    def fire(label):
+        trace.append(("fire", label, sim.now, sim.pending_events))
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            if len(handles) < budget:
+                schedule()
+        if rng.random() < 0.4:
+            rng.choice(handles).cancel()
+            trace.append(("cancel-in", sim.pending_events))
+
+    for _ in range(rng.randint(1, 40)):
+        schedule()
+    sim.run(until=rng.choice((0.0, 1.0, 2.5, 4.0)))
+    trace.append(("until", sim.now, sim.pending_events))
+    stop_after = len(trace) + rng.randint(0, 30)
+    sim.run(stop_when=lambda: len(trace) >= stop_after)
+    trace.append(("stopped", sim.now, sim.pending_events))
+    while True:
+        if rng.random() < 0.3:
+            handle = rng.choice(handles)
+            handle.cancel()
+            trace.append(("cancel-out", handle.cancelled, sim.pending_events))
+        if not sim.step():
+            break
+    trace.append(("end", sim.now, sim.pending_events, sim.events_processed))
+    return trace, [(h.time, h.seq, h.cancelled) for h in handles], sim.queue_mode
+
+
+class TestQueueModeDifferential:
+    """Every queue representation replays the heap reference exactly."""
+
+    SEEDS = range(150)
+
+    @pytest.mark.parametrize(
+        "queue, tuning, final_mode",
+        [
+            ("bucket", {"compact_floor": 4}, "bucket"),
+            ("auto", {"bucket_threshold": 8, "compact_floor": 4}, None),
+        ],
+    )
+    def test_matches_heap_reference(self, queue, tuning, final_mode):
+        modes = set()
+        for seed in self.SEEDS:
+            trace, handles, mode = _replay_random_schedule(seed, queue, **tuning)
+            ref_trace, ref_handles, _ = _replay_random_schedule(seed, "heap")
+            assert trace == ref_trace, f"{queue} seed {seed}: trace diverged"
+            assert handles == ref_handles, f"{queue} seed {seed}: handles diverged"
+            modes.add(mode)
+        if final_mode is not None:
+            assert modes == {final_mode}
+        else:
+            # auto must have exercised both sides of its migration.
+            assert modes == {"heap", "bucket"}

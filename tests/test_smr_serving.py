@@ -241,3 +241,22 @@ class TestByzantineConsistencyAtLoad:
         # The flooder contributed nothing: honest state is the sum applied.
         honest = [s for r, s in dep.snapshots().items() if r != 1]
         assert all(s == sum(range(1, 5)) for s in honest)
+
+
+class TestServingSnapshotConsistency:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_healthy_serving_trial_is_consistent(self, seed):
+        """A serving trial stops once every request has ``f + 1`` applies,
+        so healthy replicas end a slot apart; only states at equal height
+        are compared."""
+        spec = ServingSpec(
+            load="high", num_clients=20, requests_per_client=5, seed=seed
+        )
+        dep = build_serving_deployment(spec)
+        WorkloadGenerator(dep, spec.workload(), seed=spec.seed).run(
+            max_time=spec.max_time, max_events=spec.max_events
+        )
+        heights = {r.log.applied_up_to for r in dep.replicas.values()}
+        assert len(heights) > 1  # the case under test: uneven heights
+        assert dep.logs_consistent()
+        assert dep.snapshots_consistent()
