@@ -13,8 +13,8 @@ import pytest
 
 from repro.adversary.behaviors import silent_factory
 from repro.config import ProtocolConfig
-from repro.harness.runner import run_probft
 from repro.harness.tables import render_table
+from repro.harness.trial import DeploymentSpec, run_trial
 from repro.net.latency import ConstantLatency
 from repro.sync.timeouts import FixedTimeout
 
@@ -23,13 +23,23 @@ def measure():
     rows = []
     for n in (50, 100):
         cfg = ProtocolConfig(n=n, f=n // 5)
-        good = run_probft(cfg, latency=ConstantLatency(1.0), max_time=1000)
-        bad = run_probft(
-            cfg,
-            latency=ConstantLatency(1.0),
-            timeout_policy=FixedTimeout(20.0),
-            byzantine={0: silent_factory()},
-            max_time=5000,
+        good = run_trial(
+            DeploymentSpec(
+                protocol="probft",
+                config=cfg,
+                latency=ConstantLatency(1.0),
+                max_time=1000,
+            )
+        )
+        bad = run_trial(
+            DeploymentSpec(
+                protocol="probft",
+                config=cfg,
+                latency=ConstantLatency(1.0),
+                timeout_policy=FixedTimeout(20.0),
+                byzantine={0: silent_factory()},
+                max_time=5000,
+            )
         )
         rows.append(
             [

@@ -1,20 +1,24 @@
-"""BENCH-BACKENDS — one Figure-5 protocol cell under all four backends.
+"""BENCH-BACKENDS — one Figure-5 protocol cell on the serial and pool backends.
 
 The execution-backend seam promises two things: **bit-identical results**
-on every backend, and wall-clock that scales with the hardware.  This bench
+on both backends, and wall-clock that scales with the hardware.  This bench
 pins both on the smallest expensive cell we have — the full discrete-event
 simulation of the Figure-4c optimal equivocation attack at ``n = 20``
 (each trial is a whole protocol run; this is exactly the workload the
 Monte-Carlo Figure-5 estimates are made of) — and records the per-backend
-wall-clock trajectory in ``BENCH_backends.json`` at the repo root, so
-successive PRs can track how the execution layer's overhead and scaling
-evolve.
+wall-clock in ``BENCH_backends.json`` at the repo root, so successive
+changes can track how the execution layer's overhead and scaling evolve.
 
-On a multi-core machine the pool/sharded backends must beat serial on this
-cell (the trials are independent CPU-bound simulations); on a single-core
-machine (some CI sandboxes) no process fan-out can win, so the bench
-records the measurement and asserts only bit-identity.  The recorded
-``cpu_count`` makes the context explicit in the artifact.
+Each backend is timed ``SAMPLES`` times in alternating order (serial
+first in even rounds, pool first in odd ones), and the artifact carries the
+median and interquartile range of each backend's samples plus the python,
+numpy and core-count environment: back-to-back runs of one config differ
+by tens of percent, so a single shot says little.
+
+On a multi-core machine the pool median must beat the serial median on
+this cell (the trials are independent CPU-bound simulations); on a
+single-core machine (some CI sandboxes) no process fan-out can win, so the
+bench records the measurement and asserts only bit-identity.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import statistics
 import time
 
+import numpy
 import pytest
 
 from repro.config import ProtocolConfig
 from repro.crypto.context import clear_crypto_pool
-from repro.harness.backends import ShardedBackend, TrialSpec, derive_seed
-from repro.harness.metrics import Welford
 from repro.harness.parallel import ExperimentEngine, workers_from_env
 from repro.harness.tables import render_table
 from repro.montecarlo.experiments import _protocol_agreement_trial
@@ -39,9 +44,11 @@ N = 20
 TRIALS = 16
 MASTER_SEED = 2024
 MAX_TIME = 5000.0
-BACKEND_NAMES = ("serial", "pool", "async", "sharded")
+BACKEND_NAMES = ("serial", "pool")
+#: Timed passes per backend, alternating which backend goes first.
+SAMPLES = 5
 
-#: Workers for the concurrent backends; 0 = saturate (cpu count).
+#: Workers for the pool backend; 0 = saturate (cpu count).
 WORKERS = workers_from_env("REPRO_BENCH_WORKERS", default=0) or (
     os.cpu_count() or 1
 )
@@ -70,84 +77,47 @@ def time_backend(name: str) -> tuple:
     return results, elapsed
 
 
-def warmup() -> None:
-    """One untimed mini-pass so the first timed backend isn't the only one
-    paying import/OS-cache warm-up (backends run in sequence)."""
-    config = ProtocolConfig(n=N, f=N // 5)
-    clear_crypto_pool()
-    ExperimentEngine(workers=0).run_trials(
-        _protocol_agreement_trial,
-        2,
-        master_seed=MASTER_SEED,
-        params=(config, MAX_TIME),
-    )
-
-
-def fold_violation(acc: Welford, result: tuple) -> None:
-    violated, _undecided = result
-    acc.add(1.0 if violated else 0.0)
-
-
-def time_sharded_fold() -> tuple:
-    """The sharded merge fan-in on the same cell: per-shard accumulators
-    folded in-worker, only the accumulators crossing the process boundary
-    (the constant-memory shape a future multi-host backend ships home)."""
-    config = ProtocolConfig(n=N, f=N // 5)
-    clear_crypto_pool()
-    backend = ShardedBackend(workers=WORKERS)
-    specs = [
-        TrialSpec(i, derive_seed(MASTER_SEED, i), params=(config, MAX_TIME))
-        for i in range(TRIALS)
-    ]
-    start = time.perf_counter()
-    merged = backend.map_reduce(
-        _protocol_agreement_trial, specs, Welford, fold_violation, count=TRIALS
-    )
-    elapsed = time.perf_counter() - start
-    backend.close()
-    return merged, elapsed
+def median_iqr(samples) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median_s": round(median, 3),
+        "iqr_s": round(q3 - q1, 3),
+        "samples_s": [round(s, 3) for s in samples],
+    }
 
 
 def compute_backend_matrix():
-    warmup()
-    rows = {}
-    reference = None
-    for name in BACKEND_NAMES:
-        results, elapsed = time_backend(name)
-        if reference is None:
-            reference = results
-        rows[name] = {
-            "seconds": round(elapsed, 3),
-            "identical_to_serial": results == reference,
-        }
-    merged, fold_elapsed = time_sharded_fold()
-    rows["sharded-fold"] = {
-        "seconds": round(fold_elapsed, 3),
-        # The merged accumulator must reproduce the streamed fold exactly
-        # (0/1 observations: float sums are exact).
-        "identical_to_serial": (
-            merged.count == TRIALS
-            and merged.total == float(sum(v for v, _ in reference))
-        ),
+    # An untimed serial pass: the identity reference, and a warm-up so the
+    # first timed sample isn't the only one paying import/OS-cache costs.
+    reference, _ = time_backend("serial")
+    seconds = {name: [] for name in BACKEND_NAMES}
+    identical = {name: True for name in BACKEND_NAMES}
+    for round_index in range(SAMPLES):
+        order = BACKEND_NAMES if round_index % 2 == 0 else BACKEND_NAMES[::-1]
+        for name in order:
+            results, elapsed = time_backend(name)
+            seconds[name].append(elapsed)
+            identical[name] = identical[name] and results == reference
+    rows = {
+        name: {**median_iqr(seconds[name]), "identical_to_serial": identical[name]}
+        for name in BACKEND_NAMES
     }
-    serial_s = rows["serial"]["seconds"]
-    for name in rows:
-        rows[name]["speedup_vs_serial"] = (
-            round(serial_s / rows[name]["seconds"], 2)
-            if rows[name]["seconds"]
-            else float("inf")
-        )
-    violations = sum(v for v, _ in reference)
+    serial_median = rows["serial"]["median_s"]
+    for row in rows.values():
+        row["speedup_vs_serial"] = round(serial_median / row["median_s"], 2)
     return {
         "bench": "fig5-protocol-cell",
         "n": N,
         "f": N // 5,
         "trials": TRIALS,
+        "samples": SAMPLES,
         "workers": WORKERS,
         "cpu_count": os.cpu_count() or 1,
-        "violations": violations,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "violations": sum(v for v, _ in reference),
         "backends": rows,
-        "fastest": min(BACKEND_NAMES, key=lambda k: rows[k]["seconds"]),
+        "fastest": min(BACKEND_NAMES, key=lambda k: rows[k]["median_s"]),
     }
 
 
@@ -158,36 +128,36 @@ def test_bench_backends(benchmark, report):
     table = [
         [
             name,
-            row["backends"][name]["seconds"],
+            row["backends"][name]["median_s"],
+            row["backends"][name]["iqr_s"],
             row["backends"][name]["speedup_vs_serial"],
             row["backends"][name]["identical_to_serial"],
         ]
-        for name in (*BACKEND_NAMES, "sharded-fold")
+        for name in BACKEND_NAMES
     ]
     report(
         render_table(
-            ["backend", "seconds", "speedup vs serial", "identical"],
+            ["backend", "median s", "IQR s", "speedup vs serial", "identical"],
             table,
             title=(
                 f"BENCH-BACKENDS: Figure-5 protocol cell (n={N}, optimal "
-                f"split attack, {TRIALS} trials, workers={WORKERS}, "
-                f"cpus={row['cpu_count']})\n"
+                f"split attack, {TRIALS} trials, {SAMPLES} alternating "
+                f"samples, workers={WORKERS}, cpus={row['cpu_count']}, "
+                f"python {row['python']}, numpy {row['numpy']})\n"
                 f"wrote {ARTIFACT.name}; results must be bit-identical on "
-                "every backend"
+                "both backends"
             ),
         )
     )
-    # The seam's hard guarantee: identical results everywhere, always —
-    # including the sharded merge fan-in's accumulator.
-    for name in (*BACKEND_NAMES, "sharded-fold"):
+    # The seam's hard guarantee: identical results on every sample.
+    for name in BACKEND_NAMES:
         assert row["backends"][name]["identical_to_serial"], name
     # Protocol-level claim: equivocation detection keeps agreement intact.
     assert row["violations"] == 0
     # The scaling claim needs hardware to scale onto: with 2+ cores the
-    # process-based backends must beat serial on this CPU-bound cell.
+    # pool must beat serial on this CPU-bound cell, median against median.
     if row["cpu_count"] >= 2 and WORKERS >= 2:
-        process_best = min(
-            row["backends"]["pool"]["seconds"],
-            row["backends"]["sharded"]["seconds"],
+        assert (
+            row["backends"]["pool"]["median_s"]
+            < row["backends"]["serial"]["median_s"]
         )
-        assert process_best < row["backends"]["serial"]["seconds"]

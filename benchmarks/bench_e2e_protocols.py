@@ -8,8 +8,8 @@ simulation effort, plus ProBFT SMR throughput over multiple slots.
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.harness.runner import run_hotstuff, run_pbft, run_probft
 from repro.harness.tables import render_table
+from repro.harness.trial import DeploymentSpec, run_trial
 from repro.net.latency import UniformLatency
 from repro.smr.app import CounterApp
 from repro.smr.service import SMRDeployment
@@ -21,15 +21,14 @@ def run_matrix():
     rows = []
     for n in N_VALUES:
         cfg = ProtocolConfig(n=n, f=n // 5)
-        for name, runner in (
-            ("pbft", run_pbft),
-            ("probft", run_probft),
-            ("hotstuff", run_hotstuff),
-        ):
-            result = runner(
-                cfg,
-                latency=UniformLatency(0.5, 1.5, seed=n),
-                max_time=2000,
+        for name in ("pbft", "probft", "hotstuff"):
+            result = run_trial(
+                DeploymentSpec(
+                    protocol=name,
+                    config=cfg,
+                    latency=UniformLatency(0.5, 1.5, seed=n),
+                    max_time=2000,
+                )
             )
             rows.append(
                 [

@@ -12,8 +12,8 @@ import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
 from repro.harness.tables import render_table
+from repro.harness.trial import good_case_metrics
 
 N_VALUES = [10, 25, 50]
 

@@ -15,8 +15,8 @@ import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
 from repro.harness.tables import render_series, render_table
+from repro.harness.trial import good_case_metrics
 
 ANALYTIC_N = [100, 150, 200, 250, 300, 350, 400]
 MEASURED_N = [100, 200]

@@ -17,9 +17,9 @@ O_VALUES = (1.6, 1.7, 1.8)
 TRIALS = 1200
 
 WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
-#: Execution backend for the Monte-Carlo trials (serial/pool/async/
-#: sharded); None = pick by worker count.  Results are identical for
-#: every backend — the knob only moves wall-clock.
+#: Execution backend for the Monte-Carlo trials (serial/pool); None =
+#: pick by worker count.  Results are identical for both backends — the
+#: knob only moves wall-clock.
 BACKEND = backend_from_env("REPRO_BENCH_BACKEND")
 
 

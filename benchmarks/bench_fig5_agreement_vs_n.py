@@ -42,9 +42,9 @@ TRIALS = 1200
 #: Process-pool size for the Monte-Carlo trials; 0 = serial.  The engine's
 #: counter-based seeds make results identical for every worker count.
 WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
-#: Execution backend for the Monte-Carlo trials (serial/pool/async/
-#: sharded); None = pick by worker count.  Results are identical for
-#: every backend — the knob only moves wall-clock.
+#: Execution backend for the Monte-Carlo trials (serial/pool); None =
+#: pick by worker count.  Results are identical for both backends — the
+#: knob only moves wall-clock.
 BACKEND = backend_from_env("REPRO_BENCH_BACKEND")
 
 

@@ -20,8 +20,8 @@ import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
 from repro.harness.tables import render_table
+from repro.harness.trial import good_case_metrics
 
 
 def growth_exponent(n1, c1, n2, c2) -> float:
@@ -83,17 +83,8 @@ def test_table_probft_phase_split(benchmark, report):
     """The O(n) + O(n) + O(n√n) + O(n√n) decomposition of §3.3."""
 
     def run():
-        from repro.harness.runner import run_probft
-        from repro.net.latency import ConstantLatency
-
         cfg = ProtocolConfig(n=144, f=28)
-        for seed in range(25):
-            result = run_probft(
-                cfg, seed=seed, latency=ConstantLatency(1.0), max_time=500
-            )
-            if result.all_decided and result.max_view == 1:
-                return cfg, result
-        raise RuntimeError("no view-1 run found")
+        return cfg, good_case_metrics("probft", cfg, require_view1=True)
 
     cfg, result = benchmark.pedantic(run, rounds=1, iterations=1)
     by_type = result.messages_by_type

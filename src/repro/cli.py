@@ -13,9 +13,9 @@ Commands:
   p50/p99/p999 latency columns; ``--matrix`` crosses load levels ×
   adversaries (equivocating leader, flooding);
 * ``sweep``    — run a named scenario matrix (protocols × adversaries ×
-  latency models) through the parallel experiment engine — on any execution
-  backend (``--backend serial|pool|async|sharded``, ``--workers auto`` for
-  the core count; results are bit-identical across all of them), with
+  latency models) through the parallel experiment engine — on either
+  execution backend (``--backend serial|pool``, ``--workers auto`` for the
+  core count; results are bit-identical across both), with
   optional adaptive budgets (``--target-width W --chunk K`` stops each cell
   once its agreement Wilson interval is narrow enough; budgets become
   worst-case caps) — and print a table or JSON report;
@@ -36,8 +36,8 @@ from .analysis import messages as M
 from .analysis import termination as T
 from .config import ProtocolConfig
 from .harness.adaptive import DEFAULT_CHUNK
-from .harness.runner import run_protocol
 from .harness.tables import render_series, render_table
+from .harness.trial import DeploymentSpec, run_trial
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -54,8 +54,13 @@ def _config(args) -> ProtocolConfig:
 
 def cmd_run(args) -> int:
     config = _config(args)
-    result = run_protocol(
-        args.protocol, config, seed=args.seed, max_time=args.max_time
+    result = run_trial(
+        DeploymentSpec(
+            protocol=args.protocol,
+            config=config,
+            seed=args.seed,
+            max_time=args.max_time,
+        )
     )
     rows = [
         ["protocol", result.protocol],

@@ -1,33 +1,29 @@
-"""Experiment harness: run protocols, collect metrics, canned scenarios.
+"""Experiment harness: run protocols, collect metrics, sweep scenario grids.
 
 * :mod:`repro.harness.trial` — the **unified trial lifecycle**:
   :class:`DeploymentSpec` (one trial as declarative data) →
   :class:`TrialContext` (build + drive) → :func:`run_trial` (the single
-  protocol-dispatched runner every surface goes through).
-* :mod:`repro.harness.runner` — keyword-compatible conveniences
-  (``run_probft``/``run_pbft``/``run_hotstuff``, ``good_case_metrics``)
-  layered on :func:`run_trial`.
+  protocol-dispatched runner every surface goes through), plus
+  :func:`good_case_metrics` (the fault-free unit-latency run the
+  complexity benches measure).
 * :mod:`repro.harness.metrics` — statistics helpers: batch (Wilson
   intervals, summaries) and streaming (:class:`Welford`,
   :class:`StreamingProportion`) accumulators.
-* :mod:`repro.harness.scenarios` — named scenario builders used by tests,
-  examples, and benchmarks.
 * :mod:`repro.harness.parallel` — the parallel Monte-Carlo experiment
   engine (:class:`ExperimentEngine`), including the streaming
   ``stream``/``run_stream`` path.
-* :mod:`repro.harness.backends` — the pluggable **execution backends**
-  behind the engine: serial, process pool, asyncio, and sharded execution
-  behind one ``Backend`` seam (``map``/``stream``/``close``, with a
+* :mod:`repro.harness.backends` — the two **execution backends** behind
+  the engine, serial (the reference) and a process pool, behind one
+  ``Backend`` seam (``map``/``stream``/``close``, with a
   bounded-window/cancellation contract on ``stream``).
 * :mod:`repro.harness.adaptive` — **adaptive trial budgets**: deterministic
   :class:`StoppingRule`\\ s (:class:`FixedBudget`, :class:`TargetWidth`,
   ``Any``/``All``) evaluated at chunk checkpoints, stopping a cell as soon
   as its Wilson interval is narrow enough.
-* :mod:`repro.harness.registry` — the scenario registry (string-addressable
-  builders) and :class:`ScenarioMatrix` (protocols × adversaries × latency
-  cross products, with per-cell trial budgets).
-* :mod:`repro.harness.sweep` — grid sweeps over parameter axes, optionally
-  parallel.
+* :mod:`repro.harness.registry` — the scenario matrix: :class:`MatrixCell`
+  (one protocol × adversary × latency cell), ``cell_deployment_spec`` (the
+  cell's seeded :class:`DeploymentSpec`), :class:`ScenarioMatrix` (cross
+  products with per-cell trial budgets) and :func:`run_matrix`.
 * :mod:`repro.harness.plotting` — Figure-5 plot series from ``repro sweep
   --json`` reports (rendering gated on matplotlib).
 
@@ -53,13 +49,16 @@ makes protocol trials several times faster while staying **bit-identical**
 to fresh per-trial crypto — ``tests/test_trial_lifecycle.py`` pins that
 equivalence.  New protocols register once
 (:func:`~repro.harness.trial.register_protocol`) and inherit every
-experiment surface: runners, matrix, sweeps, CLI.
+experiment surface: matrix, estimators, benches, CLI.
 
 Running sweeps
 ==============
 
-The Monte-Carlo estimators, grid sweeps, and scenario matrices all fan
-their trials through :class:`~repro.harness.parallel.ExperimentEngine`::
+A one-off trial is ``run_trial(DeploymentSpec(...))``; a grid is a
+:class:`~repro.harness.registry.ScenarioMatrix` run by
+:func:`~repro.harness.registry.run_matrix`.  The Monte-Carlo estimators
+and scenario matrices both fan their trials through
+:class:`~repro.harness.parallel.ExperimentEngine`::
 
     from repro.harness import ExperimentEngine
     from repro.montecarlo.experiments import estimate_termination
@@ -77,7 +76,7 @@ From the command line, ``python -m repro sweep [matrix] --trials T
 annotated list) and prints a per-cell table, or JSON with ``--json``;
 omitting ``--trials`` applies the matrix's per-cell trial budgets.
 ``--workers auto`` resolves to the machine's core count, and ``--backend
-{serial,pool,async,sharded}`` picks the execution backend.
+{serial,pool}`` picks the execution backend.
 ``python -m repro plot report.json ... -o fig5.png`` renders Figure-5
 style curves from those JSON reports (cost metrics like ``mean_messages``
 and ``mean_bytes`` plot with stderr error bars; every row also carries the
@@ -134,23 +133,8 @@ wall-clock, never results:
   trial is ≫ the per-chunk IPC cost.  Trial functions must be picklable.
   Happy-path shutdown is graceful (in-flight chunks finish; worker atexit/
   coverage hooks run); only error paths and GC hard-terminate.
-* ``async`` — an in-process event loop over a small thread pool.  No
-  pickling requirement (closures welcome), overlaps one trial's
-  ``build()`` crypto warm-up with others' ``execute()``; it wins when
-  trials release the GIL (NumPy, hashing, future I/O-bound sources) and
-  is the concurrent option for objects that cannot cross process
-  boundaries.
-* ``sharded`` — batches the spec range into deterministic seed shards
-  fanned over an inner backend (pool by default), one dispatch per shard
-  instead of per trial; the tool for *very cheap, very many* trials
-  (sampling-level Monte-Carlo) where per-trial IPC would dominate, and
-  for constant-memory fan-in via per-shard accumulator merging
-  (:meth:`ShardedBackend.map_reduce
-  <repro.harness.backends.sharded.ShardedBackend.map_reduce>` +
-  ``Welford.merge``/``StreamingProportion.merge``).  Its shard/merge
-  shape is the seam future multi-host execution plugs into.
 
-Whatever the backend, results are **bit-identical** (pinned by
+Either way, results are **bit-identical** (pinned by
 ``tests/test_backends.py``): seeds are counter-derived per trial and
 collection is submission-ordered, so scheduling never leaks into results.
 
@@ -373,18 +357,12 @@ from .adaptive import (
 )
 from .trial import (
     DeploymentSpec,
+    RunResult,
     TrialContext,
+    good_case_metrics,
     list_protocols,
     register_protocol,
     run_trial,
-)
-from .runner import (
-    RunResult,
-    run_protocol,
-    run_probft,
-    run_pbft,
-    run_hotstuff,
-    good_case_metrics,
 )
 from .metrics import (
     LatencyAccumulator,
@@ -397,11 +375,9 @@ from .metrics import (
     Welford,
 )
 from .backends import (
-    AsyncioBackend,
     Backend,
     ProcessPoolBackend,
     SerialBackend,
-    ShardedBackend,
     backend_from_env,
     list_backends,
     make_backend,
@@ -418,23 +394,13 @@ from .parallel import (
 from .registry import (
     MATRICES,
     CellAccumulator,
+    MatrixCell,
     MatrixReport,
     ScenarioMatrix,
-    build_scenario,
+    cell_deployment_spec,
     get_matrix,
-    get_scenario,
     list_matrices,
-    list_scenarios,
     run_matrix,
-    scenario,
-)
-from .scenarios import (
-    happy_case,
-    silent_leader_case,
-    crash_case,
-    pre_gst_chaos_case,
-    equivocation_case,
-    flooding_case,
 )
 
 __all__ = [
@@ -450,10 +416,6 @@ __all__ = [
     "register_protocol",
     "list_protocols",
     "RunResult",
-    "run_protocol",
-    "run_probft",
-    "run_pbft",
-    "run_hotstuff",
     "good_case_metrics",
     "LatencyAccumulator",
     "mean",
@@ -469,30 +431,20 @@ __all__ = [
     "derive_seed",
     "spawn_seeds",
     "workers_from_env",
-    "AsyncioBackend",
     "Backend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ShardedBackend",
     "backend_from_env",
     "list_backends",
     "make_backend",
     "resolve_workers",
     "MATRICES",
     "CellAccumulator",
+    "MatrixCell",
     "MatrixReport",
     "ScenarioMatrix",
-    "build_scenario",
+    "cell_deployment_spec",
     "get_matrix",
-    "get_scenario",
     "list_matrices",
-    "list_scenarios",
     "run_matrix",
-    "scenario",
-    "happy_case",
-    "silent_leader_case",
-    "crash_case",
-    "pre_gst_chaos_case",
-    "equivocation_case",
-    "flooding_case",
 ]

@@ -1,27 +1,26 @@
 """Pluggable execution backends for the experiment engine.
 
-One seam, four strategies::
+One seam, two strategies::
 
-                         Backend (map / stream / close)
-                                     │
-        ┌───────────────┬────────────┴────────────┬────────────────┐
-   SerialBackend  ProcessPoolBackend       AsyncioBackend    ShardedBackend
-   (in-process,   (multiprocessing,        (event loop +     (seed shards →
-    reference,     CPU-bound scaling,       threads; overlap  inner backend;
-    fail-fast)     graceful lifecycle)      build/execute)    merge fan-in)
+                 Backend (map / stream / close)
+                               │
+              ┌────────────────┴────────────────┐
+        SerialBackend                    ProcessPoolBackend
+        (in-process, reference,          (multiprocessing, CPU-bound
+         fail-fast)                       scaling, graceful lifecycle)
 
 Every experiment surface — :class:`~repro.harness.parallel.ExperimentEngine`,
-``run_matrix``/``run_sweep``/``run_stream``, the Monte-Carlo estimators, the
-benches, and ``repro sweep --backend`` — executes through this seam, and
-every backend keeps the same hard guarantee: **bit-identical results in
-submission order for identical specs**, because per-trial seeds are
-counter-derived (scheduling-independent) and collection order is submission
-order.  Choosing a backend is purely a performance decision; see the
+``run_matrix``/``run_stream``, the Monte-Carlo estimators, the benches, and
+``repro sweep --backend`` — executes through this seam, and both backends
+keep the same hard guarantee: **bit-identical results in submission order
+for identical specs**, because per-trial seeds are counter-derived
+(scheduling-independent) and collection order is submission order.
+Choosing a backend is purely a performance decision; see the
 backend-selection guide in :mod:`repro.harness`.
 
-:func:`make_backend` resolves a registry name (``serial`` / ``pool`` /
-``async`` / ``sharded``) to a configured instance; ``workers="auto"``
-resolves to the machine's core count.
+:func:`make_backend` resolves a registry name (``serial`` / ``pool``) to a
+configured instance; ``workers="auto"`` resolves to the machine's core
+count.
 """
 
 from __future__ import annotations
@@ -29,37 +28,29 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Union
 
-from .asyncio_backend import AsyncioBackend
 from .base import (
     STREAM_CHUNK,
     Backend,
-    Outcome,
     TrialError,
     TrialSpec,
     derive_seed,
-    execute_outcome,
     resolve_workers,
     spawn_seeds,
     workers_from_env,
 )
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
-from .sharded import ShardedBackend
 
 __all__ = [
-    "AsyncioBackend",
     "BACKENDS",
     "Backend",
-    "Outcome",
     "ProcessPoolBackend",
     "STREAM_CHUNK",
     "SerialBackend",
-    "ShardedBackend",
     "TrialError",
     "TrialSpec",
     "backend_from_env",
     "derive_seed",
-    "execute_outcome",
     "list_backends",
     "make_backend",
     "resolve_workers",
@@ -72,8 +63,6 @@ __all__ = [
 BACKENDS: Dict[str, type] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
-    AsyncioBackend.name: AsyncioBackend,
-    ShardedBackend.name: ShardedBackend,
 }
 
 
@@ -93,8 +82,7 @@ def make_backend(
     a process pool otherwise — so existing ``workers=k`` call sites keep
     their exact behavior.  ``workers="auto"`` (or ``0`` with an explicitly
     concurrent backend) resolves to the core count.  ``chunk_size`` applies
-    to the pool backend (and a sharded backend's shard size); the serial
-    backend ignores it.
+    to the pool backend; the serial backend ignores it.
     """
     workers = resolve_workers(workers)
     if workers < 0:
@@ -113,11 +101,7 @@ def make_backend(
     # hardware — the CLI's `--backend pool` without `--workers` case.
     if workers < 1:
         workers = resolve_workers("auto")
-    if cls is ProcessPoolBackend:
-        return ProcessPoolBackend(workers=workers, chunk_size=chunk_size)
-    if cls is AsyncioBackend:
-        return AsyncioBackend(workers=workers)
-    return ShardedBackend(workers=workers, shard_size=chunk_size)
+    return ProcessPoolBackend(workers=workers, chunk_size=chunk_size)
 
 
 def backend_from_env(

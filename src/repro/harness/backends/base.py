@@ -6,14 +6,14 @@ strategy:
 * the **trial vocabulary** — :class:`TrialSpec` (one unit of work),
   :class:`TrialError` (a failing trial, with its identity), and the
   :class:`Outcome` envelope that carries a value *or* a stringified failure
-  across process/thread boundaries;
+  across the process boundary;
 * **counter-based seed splitting** — :func:`derive_seed` /
   :func:`spawn_seeds`, pure integer functions of ``(master_seed, index)``
   with no RNG state, so any worker (in any process, on any host) can
   compute any trial's seed independently;
 * the :class:`Backend` protocol itself — ``map``/``stream``/``close`` —
   which every execution strategy implements and every experiment surface
-  (engine, matrix, sweeps, Monte-Carlo, benches, CLI) consumes.
+  (engine, matrix, Monte-Carlo, benches, CLI) consumes.
 
 The one hard guarantee every backend must keep:
 
@@ -170,14 +170,10 @@ class Backend:
     """The execution seam: evaluate trial specs, deterministically.
 
     Implementations choose *where and when* trials run — in-process
-    (:class:`~repro.harness.backends.serial.SerialBackend`), across a
-    process pool (:class:`~repro.harness.backends.pool.ProcessPoolBackend`),
-    overlapped on an event loop
-    (:class:`~repro.harness.backends.asyncio_backend.AsyncioBackend`), or
-    batched into seed shards
-    (:class:`~repro.harness.backends.sharded.ShardedBackend`) — but never
-    *what they compute*: results are bit-identical across backends and
-    arrive in submission order.
+    (:class:`~repro.harness.backends.serial.SerialBackend`) or across a
+    process pool (:class:`~repro.harness.backends.pool.ProcessPoolBackend`)
+    — but never *what they compute*: results are bit-identical across
+    backends and arrive in submission order.
 
     Contract:
 
@@ -194,7 +190,7 @@ class Backend:
     additionally promises, for adaptive early stopping:
 
     * *bounded dispatch*: at most about ``w`` specs (within one
-      chunk/shard of rounding) are consumed from ``specs`` ahead of the
+      chunk of rounding) are consumed from ``specs`` ahead of the
       results already yielded, so a lazy seed range is never drained ahead
       of the consumer;
     * *prompt cancellation*: dropping the stream mid-iteration
@@ -211,7 +207,7 @@ class Backend:
     closing on exit.
     """
 
-    #: Registry name; subclasses override (``serial``/``pool``/...).
+    #: Registry name; subclasses override (``serial``/``pool``).
     name: str = "abstract"
 
     @property

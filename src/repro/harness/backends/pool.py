@@ -150,7 +150,7 @@ class ProcessPoolBackend(Backend):
         # Fetch one outcome ahead of the consumer: exhaustion is then
         # observed *before* the final yield, so a consumer that pulls
         # exactly ``count`` results (``zip``, ``next``-loops — run_matrix
-        # and run_sweep both do) still counts as a fully-drained,
+        # does) still counts as a fully-drained,
         # clean stream.  Only a stream dropped with work genuinely
         # outstanding marks the pool dirty.
         finished = False

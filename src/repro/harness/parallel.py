@@ -13,8 +13,8 @@ Two mechanisms make that hold:
 * *counter-based seed splitting* — every trial's seed is derived from the
   master seed and the trial index alone (`derive_seed`, a SplitMix64-style
   integer mix with no :mod:`random`/:mod:`numpy` state involved), so a
-  trial's randomness never depends on which process/thread/shard runs it or
-  in which order trials complete;
+  trial's randomness never depends on which process runs it or in which
+  order trials complete;
 * *submission-order collection* — :meth:`ExperimentEngine.map` returns
   results in the order the specs were submitted regardless of completion
   order, so even order-sensitive aggregation (e.g. float summation) is
@@ -27,10 +27,11 @@ Backend selection (see the guide in :mod:`repro.harness`):
   pdb/coverage-friendly;
 * ``workers > 1`` — :class:`ProcessPoolBackend
   <repro.harness.backends.pool.ProcessPoolBackend>`: the CPU-scaling
-  default (trial functions must be picklable);
-* ``backend="async"`` / ``backend="sharded"`` (or a constructed
-  :class:`~repro.harness.backends.base.Backend` instance) — explicit
-  strategies for overlap-bound and dispatch-bound workloads.
+  default (trial functions must be picklable).
+
+``backend="serial"``/``"pool"`` (or a constructed
+:class:`~repro.harness.backends.base.Backend` instance) overrides the
+worker-count default.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from .backends import (
     Backend,
-    Outcome,
-    STREAM_CHUNK,
     TrialError,
     TrialSpec,
     backend_from_env,
     derive_seed,
-    execute_outcome,
     make_backend,
     resolve_workers,
     spawn_seeds,
@@ -68,10 +66,6 @@ __all__ = [
     "workers_from_env",
 ]
 
-# Backwards-compatible private aliases (pre-backend-seam names).
-_Outcome = Outcome
-_execute = execute_outcome
-
 
 class ExperimentEngine:
     """Fans independent trials across an execution backend, deterministically.
@@ -89,11 +83,11 @@ class ExperimentEngine:
         * ``"auto"``     — the machine's core count.
 
     ``backend`` overrides the worker-count default: a registry name
-    (``"serial"``/``"pool"``/``"async"``/``"sharded"``) or a constructed
+    (``"serial"``/``"pool"``) or a constructed
     :class:`~repro.harness.backends.base.Backend` instance (which the
     engine then owns and closes).  ``chunk_size`` controls how many specs
-    each pool task (or shard) carries; the default amortizes IPC overhead
-    at roughly four chunks per worker.
+    each pool task carries; the default amortizes IPC overhead at roughly
+    four chunks per worker.
     """
 
     def __init__(
@@ -122,11 +116,11 @@ class ExperimentEngine:
         #: core count).  A serial backend carries no worker count: a
         #: caller-constructed one reports 0 regardless of the ``workers``
         #: argument (which it ignores); the name/default path reports the
-        #: requested 0/1.
+        #: requested count capped at 1, since nothing runs in parallel.
         self.workers = getattr(
             self._backend,
             "workers",
-            0 if isinstance(backend, Backend) else workers,
+            0 if isinstance(backend, Backend) else min(workers, 1),
         )
 
     @property
@@ -221,8 +215,8 @@ class ExperimentEngine:
         materialized — a consumer folding them into O(1) accumulators runs a
         10⁵-trial experiment in constant memory at the aggregation layer.
         ``specs`` may itself be a lazy generator; pass ``count`` when the
-        total is known so batching backends size their chunks/shards to
-        spread small streams across all workers (without it, they fall back
+        total is known so the pool backend sizes its chunks to
+        spread small streams across all workers (without it, it falls back
         to :data:`~repro.harness.backends.base.STREAM_CHUNK`-sized batches).
 
         ``window`` invokes the backend seam's **bounded-window /
@@ -313,7 +307,7 @@ def engine_scope(
     A caller-supplied ``engine`` passes through untouched (the caller
     amortizes its pool across calls and closes it); a scope-created engine
     is closed gracefully on success and aborted on error, so every
-    experiment surface (estimators, sweeps, matrices) releases its workers
+    experiment surface (estimators, matrices) releases its workers
     deterministically instead of leaking them to the garbage collector.
     """
     own = engine is None

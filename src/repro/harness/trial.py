@@ -16,10 +16,16 @@ benchmarks, the CLI) wired deployments by hand.  Now a trial is data:
   ``(n, master_seed)``), ``execute()`` drives it to completion and
   summarizes it as a :class:`RunResult`.
 * :func:`run_trial` — the one protocol-dispatched entry point:
-  ``run_trial(spec) == TrialContext(spec).execute()``.
+  ``run_trial(spec) == TrialContext(spec).execute()``;
+  :func:`good_case_metrics` is its fault-free unit-latency special case.
+
+With :class:`~repro.net.latency.ConstantLatency` of 1.0 and instantaneous
+local deliveries, the *latest decision time* equals the protocol's number of
+communication steps in the good case — which is how the Figure-1a bench
+measures steps.
 
 New protocols plug in through :func:`register_protocol` and inherit every
-experiment surface (runners, matrix, sweeps, CLI) at once.
+experiment surface (matrix, estimators, benches, CLI) at once.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from ..baselines.pbft.protocol import PbftDeployment
 from ..config import ProtocolConfig
 from ..core.protocol import ProBFTDeployment
 from ..net.faults import ChaosPolicy
-from ..net.latency import LatencyModel
+from ..net.latency import ConstantLatency, LatencyModel
 from ..sync.timeouts import TimeoutPolicy
 from ..types import ReplicaId, Value
 
@@ -41,6 +47,7 @@ __all__ = [
     "DeploymentSpec",
     "RunResult",
     "TrialContext",
+    "good_case_metrics",
     "list_protocols",
     "register_protocol",
     "run_trial",
@@ -329,3 +336,41 @@ def summarize(protocol: str, deployment) -> RunResult:
 def run_trial(spec: DeploymentSpec) -> RunResult:
     """Build, drive, and summarize one trial — the single protocol runner."""
     return TrialContext(spec).execute()
+
+
+def good_case_metrics(
+    protocol: str,
+    config: ProtocolConfig,
+    seed: int = 0,
+    require_view1: bool = False,
+    max_retries: int = 25,
+) -> RunResult:
+    """Fault-free run with unit latency: steps == last decision time.
+
+    With ``require_view1=True``, retries across seeds until a run decides
+    entirely in view 1.  ProBFT is probabilistic: with small ``n`` a replica
+    occasionally misses its quorum and a view change fires — legal behaviour,
+    but the good-case complexity comparisons condition on view-1 success.
+    """
+    if protocol not in list_protocols():
+        raise KeyError(
+            f"unknown protocol {protocol!r}; registered: "
+            f"{', '.join(list_protocols())}"
+        )
+    last = None
+    for attempt in range(max_retries):
+        last = run_trial(
+            DeploymentSpec(
+                protocol=protocol,
+                config=config,
+                seed=seed + attempt,
+                latency=ConstantLatency(1.0),
+                max_time=10_000,
+            )
+        )
+        if not require_view1 or (last.all_decided and last.max_view == 1):
+            return last
+    raise RuntimeError(
+        f"no view-1 good case within {max_retries} seeds for {protocol} "
+        f"n={config.n}"
+    )

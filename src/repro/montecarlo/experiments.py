@@ -12,10 +12,9 @@ Two levels of fidelity:
 Every estimator fans its trials through
 :class:`repro.harness.parallel.ExperimentEngine`: trial ``i`` draws from a
 ``numpy`` generator seeded with ``derive_seed(seed, i)``, so results are
-bit-identical whether the trials run serially (``workers=0``, the default),
-across a process pool (``workers=k``), or on any other execution backend
-(``backend="async"``/``"sharded"`` — see :mod:`repro.harness.backends`),
-and independent of completion order.  Pass ``workers=``/``backend=`` for
+bit-identical whether the trials run serially (``workers=0``, the default)
+or across a process pool (``workers=k``, or ``backend="pool"`` — see
+:mod:`repro.harness.backends`), and independent of completion order.  Pass ``workers=``/``backend=`` for
 one-off parallelism or ``engine=`` to share a configured engine across
 calls.
 

@@ -196,8 +196,8 @@ def run_batches(
 ) -> List[Any]:
     """Fan ``trials`` through ``fn`` in batches; flattened rows in order.
 
-    One spec per batch goes through the engine's normal map (so pools and
-    sharded backends parallelize across batches); each batch recomputes its
+    One spec per batch goes through the engine's normal map (so the pool
+    backend parallelizes across batches); each batch recomputes its
     trials' seeds from ``(master_seed, start index)`` internally, keeping
     the rows bit-identical to the per-trial dispatch for any batch size.
     """

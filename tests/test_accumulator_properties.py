@@ -1,22 +1,24 @@
-"""Property-based tests for the accumulator merge algebra.
+"""Property-based tests for the streaming accumulators.
 
-The sharded/distributed fan-in rests on three algebraic claims about
-``Welford.merge`` / ``StreamingProportion.merge`` / ``CellAccumulator.merge``:
+``run_matrix`` and the estimators never materialize trial rows: they fold
+each result into ``Welford`` / ``StreamingProportion`` /
+``CellAccumulator`` as it arrives.  That is only sound if the streamed fold
+equals the batch computation over the same observations:
 
-* **merge-of-splits == batch** — accumulators built over any ordered
-  partition of a stream, merged in partition order, equal the single
-  accumulator over the whole stream;
-* **associativity** — ``(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)``;
-* **commutativity-with-reordering** — the *count-like* state (counts,
-  success tallies, hence proportions and Wilson intervals) is invariant
-  under merging shards in any order; float sums commute exactly whenever
-  the observations are exactly representable (the booleans/counts our
-  cells produce) and within rounding otherwise.
+* **Welford == batch** — the running mean is bit-identical to
+  :func:`~repro.harness.metrics.mean` (same left-fold summation) and the
+  variance matches :func:`~repro.harness.metrics.stddev` squared;
+* **StreamingProportion == ProportionEstimate** — point estimate and
+  Wilson interval are exact;
+* **CellAccumulator == batch row aggregates** — every summary column
+  equals the batch helper applied to the column of rows;
+* **LatencyAccumulator == batch latencies** — completion counts, mean and
+  percentiles equal the batch helpers over the completed requests,
+  whatever the interleaving of incomplete (``None``) requests.
 
 Each property is checked with hypothesis when it is installed and through
 seeded randomized sweeps otherwise (CI installs only requirements.txt, so
-the seeded path is the floor; both explore random values *and* random
-partition points).
+the seeded path is the floor).
 """
 
 from __future__ import annotations
@@ -26,7 +28,16 @@ import random
 
 import pytest
 
-from repro.harness.metrics import StreamingProportion, Welford
+from repro.harness.metrics import (
+    LatencyAccumulator,
+    ProportionEstimate,
+    StreamingProportion,
+    Welford,
+    mean,
+    percentile,
+    stddev,
+    wilson_interval,
+)
 from repro.harness.registry import CellAccumulator, MatrixCell
 
 try:
@@ -40,155 +51,93 @@ CELL = MatrixCell(
     protocol="probft", adversary="silent", latency="constant", n=8, f=2
 )
 
-#: Seeded fallback sweep size (hypothesis drives its own example count).
-FALLBACK_CASES = 200
-
 
 # ----------------------------------------------------------------------
 # Shared generators and property checks (both drivers funnel through these)
 # ----------------------------------------------------------------------
 
 
-def split_points(rng: random.Random, length: int, parts: int):
-    """Ordered cut points partitioning ``range(length)`` into ``parts``."""
-    if length == 0:
-        return [0] * (parts - 1)
-    return sorted(rng.randint(0, length) for _ in range(parts - 1))
-
-
-def partition(values, cuts):
-    pieces = []
-    start = 0
-    for cut in list(cuts) + [len(values)]:
-        pieces.append(values[start:cut])
-        start = cut
-    return pieces
-
-
-def welford_of(values) -> Welford:
-    return Welford().extend(values)
-
-
-def assert_welford_equal(a: Welford, b: Welford, exact: bool) -> None:
-    assert a.count == b.count
-    if a.count == 0:
-        assert math.isnan(a.mean) and math.isnan(b.mean)
+def check_welford_matches_batch(values):
+    acc = Welford().extend(values)
+    assert acc.count == len(values)
+    if not values:
+        assert math.isnan(acc.mean)
         return
-    if exact:
-        assert a.total == b.total
-        assert a.mean == b.mean
-        assert a.variance == pytest.approx(b.variance, rel=1e-9, abs=1e-9)
-    else:
-        assert a.total == pytest.approx(b.total, rel=1e-9)
-        assert a.mean == pytest.approx(b.mean, rel=1e-9)
-        assert a.variance == pytest.approx(b.variance, rel=1e-6, abs=1e-6)
+    assert acc.mean == mean(values)  # bit-identical, not approx
+    assert acc.stddev == pytest.approx(stddev(values), rel=1e-6, abs=1e-6)
 
 
-def check_welford_merge_of_splits(values, cuts, exact):
-    whole = welford_of(values)
-    merged = Welford()
-    for piece in partition(values, cuts):
-        merged.merge(welford_of(piece))
-    assert_welford_equal(merged, whole, exact)
-
-
-def check_welford_associativity(values, cuts, exact):
-    a, b, c = partition(values, cuts)
-    left = welford_of(a).merge(welford_of(b)).merge(welford_of(c))
-    right = welford_of(a).merge(welford_of(b).merge(welford_of(c)))
-    assert_welford_equal(left, right, exact)
-
-
-def check_welford_reorder_counts(values, cuts, order):
-    """Count-like state is permutation-invariant; on exactly-representable
-    values the float sums commute exactly too."""
-    pieces = partition(values, cuts)
-    forward = Welford()
-    for piece in pieces:
-        forward.merge(welford_of(piece))
-    shuffled = Welford()
-    for index in order:
-        shuffled.merge(welford_of(pieces[index]))
-    assert shuffled.count == forward.count
-    if all(float(v).is_integer() for v in values):
-        assert shuffled.total == forward.total
-        assert shuffled.variance == pytest.approx(forward.variance, rel=1e-9, abs=1e-9)
-
-
-def proportion_of(outcomes) -> StreamingProportion:
+def check_proportion_matches_batch(outcomes):
     acc = StreamingProportion()
     for outcome in outcomes:
         acc.add(outcome)
-    return acc
-
-
-def check_proportion_merge_of_splits(outcomes, cuts):
-    whole = proportion_of(outcomes)
-    merged = StreamingProportion()
-    for piece in partition(outcomes, cuts):
-        merged.merge(proportion_of(piece))
-    assert (merged.successes, merged.trials) == (whole.successes, whole.trials)
-    assert merged.interval == whole.interval  # exact, Wilson included
-
-
-def check_proportion_reorder(outcomes, cuts, order):
-    pieces = partition(outcomes, cuts)
-    forward = StreamingProportion()
-    for piece in pieces:
-        forward.merge(proportion_of(piece))
-    shuffled = StreamingProportion()
-    for index in order:
-        shuffled.merge(proportion_of(pieces[index]))
-    assert (shuffled.successes, shuffled.trials) == (
-        forward.successes,
-        forward.trials,
-    )
+    batch = ProportionEstimate(sum(outcomes), len(outcomes))
+    assert (acc.successes, acc.trials) == (batch.successes, batch.trials)
+    assert acc.interval == batch.interval  # exact, Wilson included
+    low, high = acc.interval
+    assert acc.interval_width == high - low
+    assert 0.0 <= low <= high <= 1.0
 
 
 def make_row(rng: random.Random) -> dict:
-    """A synthetic trial row with exactly-representable observations — the
-    same shape ``run_matrix_cell`` emits (decide ratios are kept 0/1 so the
-    float algebra is exact, as in real constant-latency cells)."""
+    """A synthetic trial row of the shape ``run_matrix_cell`` emits."""
     n_correct = rng.randint(1, 8)
-    decided = rng.choice([0, n_correct])
+    decided = rng.randint(0, n_correct)
     return {
         "decided": decided,
         "n_correct": n_correct,
         "all_decided": decided == n_correct,
         "agreement_ok": rng.random() < 0.8,
         "max_view": rng.randint(1, 5),
-        "last_decision_time": float(rng.randint(0, 64)),
+        "last_decision_time": rng.uniform(0.0, 64.0),
         "total_messages": rng.randint(0, 512),
         "total_bytes": rng.randint(0, 4096),
     }
 
 
-def cell_acc_of(rows) -> CellAccumulator:
+def check_cell_matches_batch(rows):
     acc = CellAccumulator(CELL)
     for row in rows:
         acc.add(row)
-    return acc
+    summary = acc.summary()
+    assert summary["trials"] == acc.trials == len(rows)
+    if not rows:
+        return
+
+    def column(key):
+        return [float(row[key]) for row in rows]
+
+    agreement = [1.0 if row["agreement_ok"] else 0.0 for row in rows]
+    low, high = wilson_interval(int(sum(agreement)), len(rows))
+    assert summary["agreement_rate"] == mean(agreement)
+    assert summary["agreement_ci_low"] == round(low, 4)
+    assert summary["agreement_ci_high"] == round(high, 4)
+    assert summary["decide_rate"] == round(
+        mean([row["decided"] / row["n_correct"] for row in rows]), 4
+    )
+    assert summary["mean_max_view"] == mean(column("max_view"))
+    assert summary["mean_decision_time"] == round(
+        mean(column("last_decision_time")), 3
+    )
+    assert summary["mean_messages"] == round(mean(column("total_messages")), 1)
+    assert summary["mean_bytes"] == round(mean(column("total_bytes")), 1)
 
 
-def check_cell_merge_of_splits(rows, cuts):
-    whole = cell_acc_of(rows)
-    merged = CellAccumulator(CELL)
-    for piece in partition(rows, cuts):
-        merged.merge(cell_acc_of(piece))
-    assert merged.trials == whole.trials
-    if rows:
-        # Exactly-representable observations: the whole summary (rounded
-        # rates, Wilson interval, cost columns) matches bit-for-bit.
-        assert merged.summary() == whole.summary()
-
-
-def check_cell_associativity(rows, cuts):
-    a, b, c = partition(rows, cuts)
-    left = cell_acc_of(a).merge(cell_acc_of(b)).merge(cell_acc_of(c))
-    right = cell_acc_of(a).merge(cell_acc_of(b).merge(cell_acc_of(c)))
-    assert left.trials == right.trials
-    if rows:
-        assert left.summary() == right.summary()
+def check_latency_matches_batch(requests):
+    acc = LatencyAccumulator().extend(requests)
+    completed = [latency for latency in requests if latency is not None]
+    summary = acc.summary()
+    assert summary["completed"] == acc.completed == len(completed)
+    assert summary["incomplete"] == len(requests) - len(completed)
+    assert acc.total == len(requests)
+    if not completed:
+        assert summary["mean_latency"] is None
+        assert summary["p50_latency"] is None
+        return
+    assert summary["mean_latency"] == sum(completed) / len(completed)
+    assert summary["mean_latency"] == pytest.approx(mean(completed))
+    for key, q in (("p50_latency", 50), ("p99_latency", 99), ("p999_latency", 99.9)):
+        assert summary[key] == percentile(completed, q)
 
 
 # ----------------------------------------------------------------------
@@ -197,72 +146,38 @@ def check_cell_associativity(rows, cuts):
 
 
 class TestSeededRandomized:
-    def test_welford_merge_of_splits_integers_exact(self):
+    def test_welford_matches_batch_integers(self):
         rng = random.Random(0xA1)
-        for _ in range(FALLBACK_CASES):
+        for _ in range(200):
             values = [float(rng.randint(-100, 100)) for _ in range(rng.randint(0, 48))]
-            cuts = split_points(rng, len(values), rng.randint(2, 5))
-            check_welford_merge_of_splits(values, cuts, exact=True)
+            check_welford_matches_batch(values)
 
-    def test_welford_merge_of_splits_floats_close(self):
+    def test_welford_matches_batch_floats(self):
         rng = random.Random(0xA2)
-        for _ in range(FALLBACK_CASES):
+        for _ in range(200):
             values = [rng.uniform(-1e6, 1e6) for _ in range(rng.randint(0, 48))]
-            cuts = split_points(rng, len(values), rng.randint(2, 5))
-            check_welford_merge_of_splits(values, cuts, exact=False)
+            check_welford_matches_batch(values)
 
-    def test_welford_associativity(self):
-        rng = random.Random(0xA3)
-        for _ in range(FALLBACK_CASES):
-            exact = rng.random() < 0.5
-            values = (
-                [float(rng.randint(-50, 50)) for _ in range(rng.randint(0, 36))]
-                if exact
-                else [rng.gauss(0.0, 100.0) for _ in range(rng.randint(0, 36))]
-            )
-            cuts = split_points(rng, len(values), 3)
-            check_welford_associativity(values, cuts, exact=exact)
-
-    def test_welford_reorder_commutes_on_counts(self):
-        rng = random.Random(0xA4)
-        for _ in range(FALLBACK_CASES):
-            values = [float(rng.randint(0, 10)) for _ in range(rng.randint(0, 36))]
-            parts = rng.randint(2, 5)
-            cuts = split_points(rng, len(values), parts)
-            order = list(range(parts))
-            rng.shuffle(order)
-            check_welford_reorder_counts(values, cuts, order)
-
-    def test_proportion_merge_of_splits(self):
+    def test_proportion_matches_batch(self):
         rng = random.Random(0xB1)
-        for _ in range(FALLBACK_CASES):
-            outcomes = [rng.random() < 0.3 for _ in range(rng.randint(0, 64))]
-            cuts = split_points(rng, len(outcomes), rng.randint(2, 5))
-            check_proportion_merge_of_splits(outcomes, cuts)
-
-    def test_proportion_reorder_commutes(self):
-        rng = random.Random(0xB2)
-        for _ in range(FALLBACK_CASES):
+        for _ in range(200):
             outcomes = [rng.random() < 0.7 for _ in range(rng.randint(0, 64))]
-            parts = rng.randint(2, 5)
-            cuts = split_points(rng, len(outcomes), parts)
-            order = list(range(parts))
-            rng.shuffle(order)
-            check_proportion_reorder(outcomes, cuts, order)
+            check_proportion_matches_batch(outcomes)
 
-    def test_cell_accumulator_merge_of_splits(self):
+    def test_cell_accumulator_matches_batch(self):
         rng = random.Random(0xC1)
         for _ in range(60):
             rows = [make_row(rng) for _ in range(rng.randint(0, 24))]
-            cuts = split_points(rng, len(rows), rng.randint(2, 4))
-            check_cell_merge_of_splits(rows, cuts)
+            check_cell_matches_batch(rows)
 
-    def test_cell_accumulator_associativity(self):
-        rng = random.Random(0xC2)
-        for _ in range(60):
-            rows = [make_row(rng) for _ in range(rng.randint(0, 24))]
-            cuts = split_points(rng, len(rows), 3)
-            check_cell_associativity(rows, cuts)
+    def test_latency_accumulator_matches_batch(self):
+        rng = random.Random(0xD1)
+        for _ in range(200):
+            requests = [
+                None if rng.random() < 0.2 else rng.uniform(0.0, 500.0)
+                for _ in range(rng.randint(0, 64))
+            ]
+            check_latency_matches_batch(requests)
 
 
 # ----------------------------------------------------------------------
@@ -281,65 +196,40 @@ if HAVE_HYPOTHESIS:
         max_size=48,
     )
     outcome_lists = st.lists(st.booleans(), min_size=0, max_size=64)
-
-    def cuts_for(draw, length, parts):
-        return sorted(
-            draw(st.integers(0, length)) for _ in range(parts - 1)
-        )
+    request_lists = st.lists(
+        st.one_of(
+            st.none(),
+            st.floats(
+                min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False
+            ),
+        ),
+        min_size=0,
+        max_size=64,
+    )
 
     class TestHypothesis:
         @settings(max_examples=120, deadline=None)
-        @given(values=int_values, data=st.data())
-        def test_welford_merge_of_splits_integers_exact(self, values, data):
-            cuts = cuts_for(data.draw, len(values), data.draw(st.integers(2, 5)))
-            check_welford_merge_of_splits(values, cuts, exact=True)
+        @given(values=int_values)
+        def test_welford_matches_batch_integers(self, values):
+            check_welford_matches_batch(values)
 
         @settings(max_examples=120, deadline=None)
-        @given(values=float_values, data=st.data())
-        def test_welford_merge_of_splits_floats_close(self, values, data):
-            cuts = cuts_for(data.draw, len(values), data.draw(st.integers(2, 5)))
-            check_welford_merge_of_splits(values, cuts, exact=False)
+        @given(values=float_values)
+        def test_welford_matches_batch_floats(self, values):
+            check_welford_matches_batch(values)
 
         @settings(max_examples=120, deadline=None)
-        @given(values=int_values, data=st.data())
-        def test_welford_associativity(self, values, data):
-            cuts = cuts_for(data.draw, len(values), 3)
-            check_welford_associativity(values, cuts, exact=True)
-
-        @settings(max_examples=120, deadline=None)
-        @given(values=int_values, data=st.data())
-        def test_welford_reorder_commutes_on_counts(self, values, data):
-            parts = data.draw(st.integers(2, 5))
-            cuts = cuts_for(data.draw, len(values), parts)
-            order = data.draw(st.permutations(list(range(parts))))
-            check_welford_reorder_counts(values, cuts, order)
-
-        @settings(max_examples=120, deadline=None)
-        @given(outcomes=outcome_lists, data=st.data())
-        def test_proportion_merge_of_splits(self, outcomes, data):
-            cuts = cuts_for(data.draw, len(outcomes), data.draw(st.integers(2, 5)))
-            check_proportion_merge_of_splits(outcomes, cuts)
-
-        @settings(max_examples=120, deadline=None)
-        @given(outcomes=outcome_lists, data=st.data())
-        def test_proportion_reorder_commutes(self, outcomes, data):
-            parts = data.draw(st.integers(2, 5))
-            cuts = cuts_for(data.draw, len(outcomes), parts)
-            order = data.draw(st.permutations(list(range(parts))))
-            check_proportion_reorder(outcomes, cuts, order)
+        @given(outcomes=outcome_lists)
+        def test_proportion_matches_batch(self, outcomes):
+            check_proportion_matches_batch(outcomes)
 
         @settings(max_examples=40, deadline=None)
-        @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-        def test_cell_accumulator_merge_of_splits(self, seed, data):
+        @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 24))
+        def test_cell_accumulator_matches_batch(self, seed, length):
             rng = random.Random(seed)
-            rows = [make_row(rng) for _ in range(data.draw(st.integers(0, 24)))]
-            cuts = cuts_for(data.draw, len(rows), data.draw(st.integers(2, 4)))
-            check_cell_merge_of_splits(rows, cuts)
+            check_cell_matches_batch([make_row(rng) for _ in range(length)])
 
-        @settings(max_examples=40, deadline=None)
-        @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-        def test_cell_accumulator_associativity(self, seed, data):
-            rng = random.Random(seed)
-            rows = [make_row(rng) for _ in range(data.draw(st.integers(0, 24)))]
-            cuts = cuts_for(data.draw, len(rows), 3)
-            check_cell_associativity(rows, cuts)
+        @settings(max_examples=120, deadline=None)
+        @given(requests=request_lists)
+        def test_latency_accumulator_matches_batch(self, requests):
+            check_latency_matches_batch(requests)

@@ -48,7 +48,7 @@ from repro.montecarlo.experiments import (
     estimate_viewchange_decide,
 )
 
-BACKEND_NAMES = ("serial", "pool", "async", "sharded")
+BACKEND_NAMES = ("serial", "pool")
 
 #: Two cheap full-protocol cells at n=8; all-success agreement, so the
 #: all-success Wilson width formula z²/(t+z²) predicts the stopping point.

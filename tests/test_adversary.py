@@ -8,12 +8,24 @@ from repro.adversary.equivocation import (
     optimal_split,
     suboptimal_split,
 )
+from repro.adversary.flooding import flooding_factory
 from repro.adversary.plans import equivocation_attack_deployment
 from repro.config import ProtocolConfig
 from repro.core.protocol import ProBFTDeployment
-from repro.harness import scenarios
+from repro.harness.trial import DeploymentSpec
 from repro.net.latency import ConstantLatency
 from repro.sync.timeouts import FixedTimeout
+
+
+def flooding_deployment():
+    """n=10 with one flooder at the top of the ID range (replica 9)."""
+    return DeploymentSpec(
+        protocol="probft",
+        config=ProtocolConfig(n=10, f=2),
+        latency=ConstantLatency(1.0),
+        timeout_policy=FixedTimeout(30.0),
+        byzantine={9: flooding_factory()},
+    ).build()
 
 
 class TestSplitStrategies:
@@ -79,7 +91,14 @@ class TestSilentAndCrash:
         assert replica.crashed
 
     def test_f_crashes_tolerated(self):
-        dep = scenarios.crash_case(ProtocolConfig(n=13, f=4))
+        # f=4 crashes from the end of the ID range; the view-1 leader lives.
+        dep = DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=13, f=4),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={r: crash_factory(1.5) for r in range(9, 13)},
+        ).build()
         dep.run(max_time=2000)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
@@ -145,7 +164,7 @@ class TestEquivocationAttack:
 
 class TestFlooding:
     def test_flooding_does_not_corrupt_consensus(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
+        dep = flooding_deployment()
         dep.run(max_time=1000)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
@@ -154,13 +173,13 @@ class TestFlooding:
     def test_flood_messages_are_rejected_not_counted(self):
         """Forged votes never contribute to quorums: decisions still need
         the normal number of steps, and no replica prepares the fake value."""
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
+        dep = flooding_deployment()
         dep.run(max_time=1000)
         for r, rep in dep.correct_replicas().items():
             assert rep.prepared_value != b"flood-value"
 
     def test_flooder_actually_floods(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
+        dep = flooding_deployment()
         dep.run(max_time=1000)
         flooder = max(dep.byzantine_ids)
         assert dep.network.stats.sent_by_replica[flooder] > 50

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+from repro.harness.trial import good_case_metrics
 
 
 class TestFormulas:

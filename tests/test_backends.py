@@ -1,39 +1,43 @@
-"""Cross-backend bit-identity for the pluggable execution layer.
+"""Cross-backend bit-identity for the execution layer.
 
-The seam's hard guarantee, pinned on golden seeds: **serial == pool ==
-async == sharded** for
+The seam's hard guarantee, pinned on golden seeds: **serial == pool** for
 
 * raw trial-level results (map and stream),
 * full-protocol :class:`RunResult` streams through the trial lifecycle,
-* ``run_matrix`` reports and their per-cell accumulators (including
-  accumulators assembled by sharded per-shard merging),
+* ``run_matrix`` reports,
 * the Monte-Carlo estimators' counts,
 
-plus :class:`TrialError` propagation from every backend, the
-Welford/StreamingProportion merge algebra, and the process pool's graceful
-(close/join, not terminate) happy-path lifecycle.
+* the good-case ``(n, protocol)`` grid of the scalability example,
+
+plus :class:`TrialError` propagation from both backends, the serial
+engine's reported worker count, the pool's chunking rule, and the
+process pool's graceful (close/join, not terminate) happy-path lifecycle.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import ProtocolConfig
+from repro.cli import main
 from repro.harness.backends import (
-    AsyncioBackend,
     BACKENDS,
+    STREAM_CHUNK,
     ProcessPoolBackend,
     SerialBackend,
-    ShardedBackend,
     backend_from_env,
     list_backends,
     make_backend,
     resolve_workers,
 )
-from repro.harness.metrics import StreamingProportion, Welford
 from repro.harness.parallel import (
     ExperimentEngine,
     TrialError,
@@ -42,16 +46,16 @@ from repro.harness.parallel import (
     resolve_engine,
 )
 from repro.harness.registry import (
-    CellAccumulator,
+    ADVERSARIES,
     MatrixCell,
     ScenarioMatrix,
     run_matrix,
     run_matrix_cell,
 )
-from repro.harness.sweep import run_sweep
+from repro.harness.trial import RunResult, good_case_metrics
 from repro.montecarlo.experiments import estimate_termination
 
-BACKEND_NAMES = ("serial", "pool", "async", "sharded")
+BACKEND_NAMES = ("serial", "pool")
 
 #: A tiny protocol-level matrix cell: full discrete-event simulation at n=6.
 GOLDEN_CELL = MatrixCell(
@@ -67,7 +71,7 @@ GOLDEN_MATRIX = ScenarioMatrix(
 )
 
 
-# Module-level trial functions (pool/sharded backends pickle them).
+# Module-level trial functions (the pool backend pickles them).
 
 
 def draw_trial(spec: TrialSpec) -> float:
@@ -85,12 +89,16 @@ def slow_trial(spec: TrialSpec) -> int:
     return spec.index
 
 
-def fold_matrix_row(acc: CellAccumulator, row: dict) -> None:
-    acc.add(row)
+#: The scalability example's grid shape at test-sized n.
+GOOD_CASE_GRID = [
+    (n, protocol) for n in (8, 14) for protocol in ("pbft", "probft", "hotstuff")
+]
 
 
-def make_golden_accumulator() -> CellAccumulator:
-    return CellAccumulator(GOLDEN_CELL)
+def good_case_point(spec: TrialSpec) -> RunResult:
+    n, protocol = GOOD_CASE_GRID[spec.index]
+    config = ProtocolConfig(n=n, f=(n - 1) // 3)
+    return good_case_metrics(protocol, config, seed=spec.seed, require_view1=True)
 
 
 def cell_specs(trials: int, master_seed: int = 0, max_time: float = 500.0):
@@ -122,12 +130,32 @@ class TestRegistry:
     def test_explicit_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("pool", workers=2), ProcessPoolBackend)
-        assert isinstance(make_backend("async", workers=2), AsyncioBackend)
-        assert isinstance(make_backend("sharded", workers=2), ShardedBackend)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown backend"):
             make_backend("gpu")
+
+    def test_only_serial_and_pool_registered(self):
+        assert list_backends() == ["serial", "pool"]
+        for name in ("async", "sharded"):
+            with pytest.raises(KeyError, match="registered: serial, pool"):
+                make_backend(name, workers=2)
+
+    @pytest.mark.parametrize("name", ["async", "sharded"])
+    def test_removed_backend_rejected_by_cli(self, name, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--trials", "1", "--backend", name])
+        assert exc_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_registry_import_loads_no_asyncio(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, repro.harness.registry; "
+            "assert 'asyncio' not in sys.modules, 'asyncio imported'"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_auto_workers(self):
         import os
@@ -149,14 +177,16 @@ class TestRegistry:
         monkeypatch.delenv("X_BACKEND", raising=False)
         assert backend_from_env("X_BACKEND") is None
         assert backend_from_env("X_BACKEND", default="pool") == "pool"
-        monkeypatch.setenv("X_BACKEND", "Sharded")
-        assert backend_from_env("X_BACKEND") == "sharded"
+        monkeypatch.setenv("X_BACKEND", "Pool")
+        assert backend_from_env("X_BACKEND") == "pool"
+        monkeypatch.setenv("X_BACKEND", "async")
+        assert backend_from_env("X_BACKEND", default="serial") == "serial"
         monkeypatch.setenv("X_BACKEND", "quantum")
         assert backend_from_env("X_BACKEND", default="serial") == "serial"
 
     def test_engine_exposes_backend(self):
-        engine = ExperimentEngine(workers=2, backend="sharded")
-        assert engine.backend_name == "sharded"
+        engine = ExperimentEngine(workers=2, backend="pool")
+        assert engine.backend_name == "pool"
         assert engine.parallel
         engine.close()
         # A constructed Backend instance passes through as-is.
@@ -164,13 +194,30 @@ class TestRegistry:
         assert ExperimentEngine(backend=backend).backend is backend
 
     def test_resolve_engine_backend_passthrough(self):
-        engine = resolve_engine(None, 2, backend="async")
-        assert engine.backend_name == "async"
+        engine = resolve_engine(None, 2, backend="serial")
+        assert engine.backend_name == "serial"
         engine.close()
+
+    def test_serial_engine_reports_at_most_one_worker(self):
+        """A serial engine runs nothing in parallel, whatever it was asked."""
+        assert ExperimentEngine(workers=2, backend="serial").workers == 1
+        assert ExperimentEngine(workers="auto", backend="serial").workers == 1
+        assert ExperimentEngine(workers=1, backend="serial").workers == 1
+        assert ExperimentEngine(workers=0, backend="serial").workers == 0
+        assert ExperimentEngine(workers=0).workers == 0
+
+    def test_serial_sweep_json_reports_at_most_one_worker(self, capsys):
+        argv = ["sweep", "--trials", "1", "--max-time", "600", "--json"]
+        main(argv + ["--workers", "2", "--backend", "serial"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["backend"] == "serial"
+        assert report["workers"] == 1
+        main(argv)
+        assert json.loads(capsys.readouterr().out)["workers"] == 0
 
 
 class TestCrossBackendIdentity:
-    """serial == pool == async == sharded, golden seeds, every surface."""
+    """serial == pool, golden seeds, every surface."""
 
     def test_trial_level_map_and_stream(self):
         reference = SerialBackend().map(
@@ -215,13 +262,35 @@ class TestCrossBackendIdentity:
         }
         assert serial.mean_prepared_fraction == other.mean_prepared_fraction
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_run_sweep_identical(self, name):
-        reference = run_sweep({"n": [16, 25, 36]}, sweep_point_fn)
-        got = run_sweep(
-            {"n": [16, 25, 36]}, sweep_point_fn, workers=2, backend=name
+    @pytest.mark.parametrize("adversary", ADVERSARIES)
+    def test_every_adversary_report_identical(self, adversary):
+        """Pool == serial on every adversary of the matrix axis, each
+        protocol, under seeded (uniform) latency."""
+        matrix = ScenarioMatrix(
+            name=f"backend-{adversary}",
+            adversaries=(adversary,),
+            latencies=("uniform",),
+            n=6,
         )
-        assert got.rows == reference.rows
+        reference = run_matrix(matrix, trials=2, master_seed=11)
+        pooled = run_matrix(
+            matrix, trials=2, master_seed=11, workers=2, backend="pool"
+        )
+        assert len(reference.rows) == 3
+        assert pooled.rows == reference.rows
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_good_case_grid_identical(self, name):
+        """The scalability example's grid: seeded good-case runs with the
+        view-1 retry give equal RunResults on every backend."""
+        reference = [
+            good_case_point(TrialSpec(i, derive_seed(3, i)))
+            for i in range(len(GOOD_CASE_GRID))
+        ]
+        assert all(r.all_decided and r.max_view == 1 for r in reference)
+        with ExperimentEngine(workers=2, backend=name) as engine:
+            got = engine.run_trials(good_case_point, len(GOOD_CASE_GRID), master_seed=3)
+        assert got == reference
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_trial_error_propagation(self, name):
@@ -235,118 +304,6 @@ class TestCrossBackendIdentity:
         assert "boom at 3" in str(err)
         assert "ValueError" in err.detail
         engine.abort()
-
-
-def sweep_point_fn(point):
-    return {"sqrt": point["n"] ** 0.5, "seeded": point.seed % 97}
-
-
-class TestShardedMerge:
-    """Per-shard accumulators merged in shard order == the streamed fold."""
-
-    def test_merged_cell_accumulator_matches_streamed(self):
-        specs = cell_specs(trials=10, master_seed=77)
-        streamed = CellAccumulator(GOLDEN_CELL)
-        for row in SerialBackend().map(run_matrix_cell, list(specs)):
-            streamed.add(row)
-
-        for inner_workers, shard_size in ((1, 3), (2, 4)):
-            sharded = ShardedBackend(workers=inner_workers, shard_size=shard_size)
-            merged = sharded.map_reduce(
-                run_matrix_cell,
-                list(specs),
-                make_golden_accumulator,
-                fold_matrix_row,
-                count=len(specs),
-            )
-            sharded.close()
-            assert merged.trials == streamed.trials
-            # Constant-latency golden cells have exactly-representable
-            # observations, so the merge is bit-identical, summary included.
-            assert merged.summary() == streamed.summary()
-
-    def test_manual_shard_merge_matches(self):
-        """CellAccumulator.merge composes shard-local folds exactly."""
-        specs = cell_specs(trials=9, master_seed=13)
-        rows = SerialBackend().map(run_matrix_cell, list(specs))
-        whole = CellAccumulator(GOLDEN_CELL)
-        for row in rows:
-            whole.add(row)
-        merged = CellAccumulator(GOLDEN_CELL)
-        for shard_start in range(0, len(rows), 4):
-            shard_acc = CellAccumulator(GOLDEN_CELL)
-            for row in rows[shard_start : shard_start + 4]:
-                shard_acc.add(row)
-            merged.merge(shard_acc)
-        assert merged.summary() == whole.summary()
-
-    def test_merge_rejects_cell_mismatch(self):
-        other = MatrixCell(
-            protocol="probft", adversary="none", latency="constant", n=6, f=1
-        )
-        with pytest.raises(ValueError, match="different cells"):
-            CellAccumulator(GOLDEN_CELL).merge(CellAccumulator(other))
-
-    def test_map_reduce_propagates_trial_error(self):
-        specs = [TrialSpec(i, derive_seed(2, i)) for i in range(8)]
-        sharded = ShardedBackend(workers=2, shard_size=2)
-        with pytest.raises(TrialError) as exc_info:
-            sharded.map_reduce(
-                crash_on_three, specs, Welford, fold_value, count=8
-            )
-        assert exc_info.value.index == 3
-        sharded.close()
-
-
-def fold_value(acc: Welford, value) -> None:
-    acc.add(float(value))
-
-
-class TestMergeAlgebra:
-    def test_welford_merge_exact_on_integers(self):
-        values = [float(v) for v in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]]
-        whole = Welford().extend(values)
-        for split in (1, 4, len(values)):
-            left = Welford().extend(values[:split])
-            right = Welford().extend(values[split:])
-            merged = left.merge(right)
-            assert merged.count == whole.count
-            assert merged.total == whole.total
-            assert merged.mean == whole.mean
-            assert abs(merged.variance - whole.variance) < 1e-12
-
-    def test_welford_merge_close_on_floats(self):
-        rng = np.random.default_rng(42)
-        values = list(rng.normal(1000.0, 0.001, size=64))
-        whole = Welford().extend(values)
-        merged = Welford().extend(values[:17]).merge(
-            Welford().extend(values[17:])
-        )
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9)
-
-    def test_welford_merge_empty_identities(self):
-        base = Welford().extend([1.0, 2.0])
-        assert base.merge(Welford()).count == 2
-        empty = Welford()
-        empty.merge(Welford().extend([1.0, 2.0]))
-        assert empty.count == 2 and empty.mean == 1.5
-        assert Welford().merge(Welford()).count == 0
-
-    def test_streaming_proportion_merge(self):
-        outcomes = [True, False, True, True, False, True, False]
-        whole = StreamingProportion()
-        for outcome in outcomes:
-            whole.add(outcome)
-        left, right = StreamingProportion(), StreamingProportion()
-        for outcome in outcomes[:3]:
-            left.add(outcome)
-        for outcome in outcomes[3:]:
-            right.add(outcome)
-        left.merge(right)
-        assert (left.successes, left.trials) == (whole.successes, whole.trials)
-        assert left.interval == whole.interval
 
 
 class TestWindowedStreams:
@@ -451,41 +408,6 @@ class TestWindowedStreams:
         assert backend._pool is pool
         backend.close()
 
-    def test_async_windowed_drop_bounded(self):
-        backend = AsyncioBackend(workers=2, window=8)
-        stream = backend.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(60)], count=60, window=2
-        )
-        assert next(stream) == 0
-        start = time.perf_counter()
-        stream.close()  # drains at most min(window=8, 2) in-flight trials
-        assert time.perf_counter() - start < 2.0
-        # The loop/executor stay reusable after the drop.
-        assert backend.map(slow_trial, [TrialSpec(7, 7)]) == [7]
-        backend.close()
-
-    def test_sharded_windowed_drop_reaches_inner_pool(self):
-        """Dropping a windowed sharded stream closes the inner pool stream
-        too, so the inner pool stays clean for a graceful close."""
-        sharded = ShardedBackend(workers=2, shard_size=2)
-        stream = sharded.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(40)], count=40, window=2
-        )
-        assert next(stream) == 0
-        stream.close()
-        inner = sharded.inner
-        assert isinstance(inner, ProcessPoolBackend)
-        assert not inner._dirty
-        pool = inner._pool
-        calls = []
-        original_terminate = pool.terminate
-        pool.terminate = lambda: calls.append("terminate")
-        try:
-            sharded.close()
-        finally:
-            pool.terminate = original_terminate
-        assert calls == []
-
     def test_unwindowed_drop_still_dirties_pool(self):
         """The historical contract is unchanged: an abandoned *unwindowed*
         stream leaves imap's queue full and close() must terminate."""
@@ -497,6 +419,39 @@ class TestWindowedStreams:
         stream.close()
         assert backend._dirty
         backend.abort()
+
+
+class TestPoolChunking:
+    """Chunking is deterministic and never changes results."""
+
+    @pytest.mark.parametrize(
+        "workers,chunk_size,count,expected",
+        [
+            (2, None, 8, 1),  # ≈4 chunks per worker
+            (2, None, 40, 5),
+            (4, None, 0, 1),  # never below one spec per chunk
+            (2, None, 10_000, STREAM_CHUNK),  # capped for huge totals
+            (2, None, None, STREAM_CHUNK),  # unknown total: the stream cap
+            (2, 3, 10_000, 3),  # an explicit chunk size always wins
+        ],
+    )
+    def test_chunk_rule(self, workers, chunk_size, count, expected):
+        backend = ProcessPoolBackend(workers=workers, chunk_size=chunk_size)
+        assert backend._chunk(count) == expected
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 40])
+    def test_chunk_size_keeps_results(self, chunk_size):
+        specs = [TrialSpec(i, derive_seed(5, i)) for i in range(40)]
+        reference = SerialBackend().map(draw_trial, list(specs))
+        with ProcessPoolBackend(workers=2, chunk_size=chunk_size) as backend:
+            assert backend.map(draw_trial, list(specs)) == reference
+            assert list(backend.stream(draw_trial, list(specs))) == reference
+
+    def test_invalid_pool_arguments(self):
+        with pytest.raises(ValueError, match="workers"):
+            ProcessPoolBackend(workers=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            ProcessPoolBackend(workers=2, chunk_size=0)
 
 
 class TestPoolLifecycle:
@@ -521,7 +476,7 @@ class TestPoolLifecycle:
         backend.close()
 
     def test_exactly_consumed_stream_closes_gracefully(self):
-        """run_matrix/run_sweep pull exactly ``count`` results (zip/next),
+        """run_matrix pulls exactly ``count`` results (zip/next),
         leaving the generator suspended at its final yield — that is a
         fully-drained stream and must NOT be misclassified as abandoned."""
         backend = ProcessPoolBackend(workers=2)
@@ -586,17 +541,6 @@ class TestPoolLifecycle:
         backend.map(draw_trial, [TrialSpec(0, 0)])
         assert not backend._dirty
         backend.close()
-
-    def test_sharded_abort_reaches_inner_pool(self):
-        sharded = ShardedBackend(workers=2, shard_size=1)
-        sharded.inner.map(draw_trial, [TrialSpec(i, i) for i in range(2)])
-        pool = sharded.inner._pool
-        calls = []
-        original_terminate = pool.terminate
-        pool.terminate = lambda: calls.append("terminate") or original_terminate()
-        sharded.abort()
-        assert calls == ["terminate"]
-        assert sharded.inner._pool is None
 
     def test_abort_terminates(self):
         backend = ProcessPoolBackend(workers=2)

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (runner, metrics, scenarios)."""
+"""Tests for the experiment harness (trial runner and metrics)."""
 
 import math
 
@@ -13,12 +13,7 @@ from repro.harness.metrics import (
     stddev,
     wilson_interval,
 )
-from repro.harness.runner import (
-    good_case_metrics,
-    run_hotstuff,
-    run_pbft,
-    run_probft,
-)
+from repro.harness.trial import DeploymentSpec, good_case_metrics, run_trial
 
 
 class TestMetrics:
@@ -111,20 +106,14 @@ class TestMetrics:
         assert acc.p50 is None and acc.p99 is None and acc.p999 is None
         assert acc.summary()["mean_latency"] is None
 
-    def test_latency_accumulator_merge(self):
-        left, right = LatencyAccumulator(), LatencyAccumulator()
-        left.extend([1.0, 2.0])
-        right.extend([3.0])
-        right.add(None)
-        left.merge(right)
-        assert left.completed == 3
-        assert left.incomplete == 1
-        assert left.mean == pytest.approx(2.0)
-
 
 class TestRunners:
     def test_run_probft_result_fields(self):
-        result = run_probft(ProtocolConfig(n=10, f=2), max_time=500)
+        result = run_trial(
+            DeploymentSpec(
+                protocol="probft", config=ProtocolConfig(n=10, f=2), max_time=500
+            )
+        )
         assert result.protocol == "probft"
         assert result.all_decided
         assert result.agreement_ok
@@ -137,11 +126,14 @@ class TestRunners:
         from repro.sync.timeouts import FixedTimeout
         from repro.adversary.behaviors import silent_factory
 
-        result = run_probft(
-            ProtocolConfig(n=10, f=2),
-            timeout_policy=FixedTimeout(20.0),
-            byzantine={0: silent_factory()},
-            max_time=2000,
+        result = run_trial(
+            DeploymentSpec(
+                protocol="probft",
+                config=ProtocolConfig(n=10, f=2),
+                timeout_policy=FixedTimeout(20.0),
+                byzantine={0: silent_factory()},
+                max_time=2000,
+            )
         )
         assert result.messages_by_type.get("Wish", 0) > 0
         assert (
@@ -151,8 +143,10 @@ class TestRunners:
 
     def test_all_three_protocols_agree_on_interface(self):
         cfg = ProtocolConfig(n=10, f=2)
-        for runner in (run_probft, run_pbft, run_hotstuff):
-            result = runner(cfg, max_time=500)
+        for protocol in ("probft", "pbft", "hotstuff"):
+            result = run_trial(
+                DeploymentSpec(protocol=protocol, config=cfg, max_time=500)
+            )
             assert result.all_decided and result.agreement_ok
 
     def test_good_case_steps(self):

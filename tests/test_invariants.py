@@ -2,11 +2,24 @@
 
 import pytest
 
+from repro.adversary.behaviors import silent_factory
+from repro.adversary.flooding import flooding_factory
+from repro.adversary.plans import equivocation_attack_deployment
 from repro.config import ProtocolConfig
 from repro.core.invariants import AuditReport, audit_deployment
 from repro.core.protocol import ProBFTDeployment
-from repro.harness import scenarios
+from repro.harness.trial import DeploymentSpec
+from repro.net.latency import ConstantLatency
+from repro.sync.timeouts import FixedTimeout
 from repro.types import Decision
+
+
+def happy_deployment():
+    return DeploymentSpec(
+        protocol="probft",
+        config=ProtocolConfig(n=12, f=2),
+        latency=ConstantLatency(1.0),
+    ).build()
 
 
 class TestAuditReport:
@@ -20,26 +33,42 @@ class TestAuditReport:
 
 class TestAuditHappyRuns:
     def test_happy_run_passes(self):
-        dep = scenarios.happy_case(ProtocolConfig(n=12, f=2))
+        dep = happy_deployment()
         dep.run(max_time=500)
         report = audit_deployment(dep)
         assert report.ok, str(report)
         assert report.checks_run > 12  # at least one check per replica
 
     def test_view_change_run_passes(self):
-        dep = scenarios.silent_leader_case(ProtocolConfig(n=10, f=2))
+        dep = DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=10, f=2),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(20.0),
+            byzantine={0: silent_factory()},
+        ).build()
         dep.run(max_time=2000)
         report = audit_deployment(dep)
         assert report.ok, str(report)
 
     def test_equivocation_run_passes(self):
-        dep, _plan = scenarios.equivocation_case(ProtocolConfig(n=16, f=3))
+        dep, _plan = equivocation_attack_deployment(
+            ProtocolConfig(n=16, f=3),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(20.0),
+        )
         dep.run(max_time=2000)
         report = audit_deployment(dep)
         assert report.ok, str(report)
 
     def test_flooding_run_passes(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
+        dep = DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=10, f=2),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={9: flooding_factory()},
+        ).build()
         dep.run(max_time=1000)
         report = audit_deployment(dep)
         assert report.ok, str(report)
@@ -50,7 +79,7 @@ class TestAuditCatchesCorruption:
 
     @pytest.fixture
     def finished(self):
-        dep = scenarios.happy_case(ProtocolConfig(n=12, f=2))
+        dep = happy_deployment()
         dep.run(max_time=500)
         return dep
 

@@ -2,11 +2,26 @@
 
 import pytest
 
+from repro.adversary.behaviors import crash_factory, silent_factory
 from repro.config import ProtocolConfig
 from repro.core.protocol import ProBFTDeployment
-from repro.harness import scenarios
+from repro.harness.trial import DeploymentSpec
+from repro.net.faults import PreGstChaos
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.sync.timeouts import ExponentialTimeout, FixedTimeout
+
+
+def pre_gst_chaos_deployment(seed, gst=60.0):
+    """n=10 with an asynchronous start: large random pre-GST delays."""
+    return DeploymentSpec(
+        protocol="probft",
+        config=ProtocolConfig(n=10, f=2),
+        seed=seed,
+        latency=UniformLatency(0.5, 1.5, seed=seed),
+        gst=gst,
+        chaos=PreGstChaos(max_extra=40.0, seed=seed),
+        timeout_policy=FixedTimeout(25.0),
+    ).build()
 
 
 class TestHappyPath:
@@ -68,7 +83,13 @@ class TestHappyPath:
 
 class TestViewChanges:
     def test_silent_leader_forces_view_change(self):
-        dep = scenarios.silent_leader_case(ProtocolConfig(n=10, f=2))
+        dep = DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=10, f=2),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(20.0),
+            byzantine={0: silent_factory()},
+        ).build()
         dep.run(max_time=2000)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
@@ -77,8 +98,6 @@ class TestViewChanges:
         assert dep.decided_values() == {b"value-1"}
 
     def test_two_silent_leaders(self):
-        from repro.adversary.behaviors import silent_factory
-
         dep = ProBFTDeployment(
             ProtocolConfig(n=10, f=2),
             latency=ConstantLatency(1.0),
@@ -91,7 +110,14 @@ class TestViewChanges:
         assert dep.max_decision_view >= 3
 
     def test_crash_below_threshold_preserves_liveness(self):
-        dep = scenarios.crash_case(ProtocolConfig(n=20, f=3))
+        # f=3 crashes from the end of the ID range; the view-1 leader lives.
+        dep = DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=20, f=3),
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={r: crash_factory(1.5) for r in range(17, 20)},
+        ).build()
         dep.run(max_time=2000)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
@@ -99,7 +125,7 @@ class TestViewChanges:
 
 class TestPartialSynchrony:
     def test_decides_despite_pre_gst_chaos(self):
-        dep = scenarios.pre_gst_chaos_case(ProtocolConfig(n=10, f=2), seed=3)
+        dep = pre_gst_chaos_deployment(seed=3)
         dep.run(max_time=5000)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
@@ -116,9 +142,7 @@ class TestPartialSynchrony:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chaos_never_violates_agreement(self, seed):
-        dep = scenarios.pre_gst_chaos_case(
-            ProtocolConfig(n=10, f=2), seed=seed, gst=40.0
-        )
+        dep = pre_gst_chaos_deployment(seed=seed, gst=40.0)
         dep.run(max_time=5000)
         assert dep.agreement_ok
 
@@ -149,8 +173,6 @@ class TestMessageComplexity:
 
 class TestDeploymentValidation:
     def test_too_many_byzantine_rejected(self):
-        from repro.adversary.behaviors import silent_factory
-
         with pytest.raises(ValueError):
             ProBFTDeployment(
                 ProtocolConfig(n=10, f=2),

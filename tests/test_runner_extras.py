@@ -1,17 +1,24 @@
-"""Additional harness-runner coverage: retries, result fields, determinism."""
+"""Additional trial-runner coverage: retries, result fields, determinism."""
 
 import math
 
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.harness.runner import (
+from repro.harness.trial import (
+    DeploymentSpec,
     RunResult,
     good_case_metrics,
-    run_hotstuff,
-    run_pbft,
-    run_probft,
+    run_trial,
 )
+
+PROTOCOLS = ("probft", "pbft", "hotstuff")
+
+
+def run(protocol: str, cfg: ProtocolConfig, seed: int) -> RunResult:
+    return run_trial(
+        DeploymentSpec(protocol=protocol, config=cfg, seed=seed, max_time=500)
+    )
 
 
 class TestRequireView1:
@@ -22,6 +29,22 @@ class TestRequireView1:
         result = good_case_metrics("probft", cfg, require_view1=True)
         assert result.max_view == 1
         assert result.all_decided
+
+    def test_retry_returns_first_view1_seed(self):
+        """Seed 7 needs a view change at n=64 and seed 8 does not: the retry
+        from seed 7 returns exactly seed 8's run."""
+        cfg = ProtocolConfig(n=64, f=12)
+        assert good_case_metrics("probft", cfg, seed=7).max_view > 1
+        retried = good_case_metrics("probft", cfg, seed=7, require_view1=True)
+        assert retried == good_case_metrics("probft", cfg, seed=8)
+        assert retried.max_view == 1
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_view1_run_is_not_retried(self, protocol):
+        cfg = ProtocolConfig(n=10, f=2)
+        plain = good_case_metrics(protocol, cfg, seed=3)
+        assert plain.all_decided and plain.max_view == 1
+        assert good_case_metrics(protocol, cfg, seed=3, require_view1=True) == plain
 
     def test_exhausted_retries_raise(self):
         cfg = ProtocolConfig(n=64, f=12)
@@ -71,11 +94,11 @@ class TestRunResult:
 
 
 class TestCrossProtocolDeterminism:
-    @pytest.mark.parametrize("runner", [run_probft, run_pbft, run_hotstuff])
-    def test_same_seed_same_result(self, runner):
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_same_seed_same_result(self, protocol):
         cfg = ProtocolConfig(n=10, f=2)
-        a = runner(cfg, seed=13, max_time=500)
-        b = runner(cfg, seed=13, max_time=500)
+        a = run(protocol, cfg, seed=13)
+        b = run(protocol, cfg, seed=13)
         assert a.total_messages == b.total_messages
         assert a.last_decision_time == b.last_decision_time
         assert a.decided_values == b.decided_values
@@ -85,8 +108,5 @@ class TestCrossProtocolDeterminism:
         # (at n=10, s = min(n, ceil(o*q)) = 10 and ProBFT degenerates to
         # PBFT's all-to-all pattern — itself a nice sanity fact).
         cfg = ProtocolConfig(n=20, f=3)
-        totals = {
-            runner(cfg, seed=1, max_time=500).protocol_messages
-            for runner in (run_probft, run_pbft, run_hotstuff)
-        }
+        totals = {run(protocol, cfg, seed=1).protocol_messages for protocol in PROTOCOLS}
         assert len(totals) == 3

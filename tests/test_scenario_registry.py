@@ -1,4 +1,4 @@
-"""Tests for the scenario registry and the scenario matrix."""
+"""Tests for the scenario matrix and the canonical adversary set-ups."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import itertools
 
 import pytest
 
+from repro.adversary.behaviors import crash_factory, silent_factory
+from repro.adversary.flooding import flooding_factory
+from repro.adversary.plans import equivocation_attack_deployment
+from repro.config import ProtocolConfig
 from repro.harness.parallel import TrialSpec, derive_seed
 from repro.harness.registry import (
     ADVERSARIES,
@@ -14,32 +18,67 @@ from repro.harness.registry import (
     PROTOCOLS,
     MatrixCell,
     ScenarioMatrix,
-    build_scenario,
+    cell_deployment_spec,
     get_matrix,
-    get_scenario,
     list_matrices,
-    list_scenarios,
     run_matrix,
     run_matrix_cell,
-    scenario,
 )
+from repro.harness.trial import DeploymentSpec
+from repro.net.faults import PreGstChaos
+from repro.net.latency import ConstantLatency, UniformLatency
+from repro.sync.timeouts import FixedTimeout
 
 from .helpers import saturated_config
 
 
-class TestRegistry:
-    def test_canonical_scenarios_registered(self):
-        assert list_scenarios() == sorted(
-            [
-                "happy",
-                "silent-leader",
-                "crash",
-                "pre-gst-chaos",
-                "equivocation",
-                "flooding",
-            ]
-        )
+def canonical_deployment(name: str, config: ProtocolConfig, seed: int):
+    """One of the six canonical ProBFT adversary set-ups, spelled out.
 
+    happy: all correct; silent-leader: view-1 leader silent; crash: the
+    last f replicas crash at t=1.5; pre-gst-chaos: large random delays
+    before GST=60; equivocation: the Figure-4c optimal split; flooding:
+    one flooder at the top of the ID range.
+    """
+    if name == "equivocation":
+        deployment, _plan = equivocation_attack_deployment(
+            config,
+            seed=seed,
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(20.0),
+        )
+        return deployment
+    n, f = config.n, config.f
+    kwargs = {
+        "happy": dict(latency=ConstantLatency(1.0)),
+        "silent-leader": dict(
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(20.0),
+            byzantine={0: silent_factory()},
+        ),
+        "crash": dict(
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={r: crash_factory(1.5) for r in range(n - f, n)},
+        ),
+        "pre-gst-chaos": dict(
+            latency=UniformLatency(0.5, 1.5, seed=seed),
+            gst=60.0,
+            chaos=PreGstChaos(max_extra=40.0, seed=seed),
+            timeout_policy=FixedTimeout(25.0),
+        ),
+        "flooding": dict(
+            latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={n - 1: flooding_factory()},
+        ),
+    }[name]
+    return DeploymentSpec(
+        protocol="probft", config=config, seed=seed, **kwargs
+    ).build()
+
+
+class TestCanonicalDeployments:
     @pytest.mark.parametrize("name", [
         "happy",
         "silent-leader",
@@ -49,26 +88,63 @@ class TestRegistry:
         "flooding",
     ])
     def test_every_scenario_builds_and_decides(self, name):
-        """Each registered scenario reaches a correct decision at n=8."""
-        deployment = build_scenario(name, saturated_config(), seed=1)
+        """Each canonical set-up reaches a correct decision at n=8."""
+        deployment = canonical_deployment(name, saturated_config(), seed=1)
         deployment.run(max_time=5000)
         assert deployment.all_correct_decided()
         assert deployment.agreement_ok
 
-    def test_unknown_name_raises_clear_keyerror(self):
-        with pytest.raises(KeyError, match="unknown scenario 'nope'"):
-            get_scenario("nope")
-        with pytest.raises(KeyError, match="silent-leader"):
-            # The error enumerates what *is* registered.
-            get_scenario("nope")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            scenario("happy")(lambda config, seed=0: None)
+class TestAdversaryPlacement:
+    """Where each adversary of the matrix axis puts its Byzantine replicas.
 
-    def test_specs_carry_descriptions(self):
-        for name in list_scenarios():
-            assert get_scenario(name).description
+    At n=10, f=3: the silent adversary corrupts the view-1 leader, crashes
+    take the last f replicas (the leader survives), the flooder is replica
+    n-1, the equivocation split is the leader plus the last f-1 replicas,
+    and the network-level adversaries corrupt no replica at all.
+    """
+
+    CONFIG = ProtocolConfig(n=10, f=3)
+    EXPECTED = {
+        "none": set(),
+        "silent": {0},
+        "crash": {7, 8, 9},
+        "equivocation": {0, 8, 9},
+        "flooding": {9},
+        "duplication": set(),
+        "targeted-scheduler": set(),
+    }
+
+    def test_expectations_cover_the_axis(self):
+        assert set(self.EXPECTED) == set(ADVERSARIES)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("adversary", ADVERSARIES)
+    def test_matrix_cell_placement(self, adversary, protocol):
+        cell = MatrixCell(
+            protocol=protocol,
+            adversary=adversary,
+            latency="constant",
+            n=self.CONFIG.n,
+            f=self.CONFIG.f,
+        )
+        spec = cell_deployment_spec(cell, seed=0, max_time=100.0)
+        expected = self.EXPECTED[adversary]
+        assert set(spec.byzantine or {}) == expected
+        assert set(spec.build().byzantine_ids) == expected
+        assert len(expected) <= self.CONFIG.f
+
+    def test_probft_equivocation_is_the_figure_4c_plan(self):
+        cell = MatrixCell(
+            protocol="probft",
+            adversary="equivocation",
+            latency="constant",
+            n=self.CONFIG.n,
+            f=self.CONFIG.f,
+        )
+        spec = cell_deployment_spec(cell, seed=0, max_time=100.0)
+        deployment, _plan = equivocation_attack_deployment(self.CONFIG)
+        assert set(spec.byzantine) == set(deployment.byzantine_ids)
 
 
 class TestMatrixExpansion:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.config import ProtocolConfig
 from repro.harness.parallel import derive_seed
-from repro.harness.runner import run_probft
+from repro.harness.trial import DeploymentSpec, run_trial
 from repro.montecarlo.experiments import (
     estimate_prepare_quorum,
     estimate_termination,
@@ -37,7 +37,14 @@ class TestProtocolRunGolden:
     """One small ProBFT run, fully pinned: decisions, views, traffic."""
 
     def test_probft_n8_seed42(self):
-        result = run_probft(ProtocolConfig(n=8, f=1), seed=42, max_time=5000)
+        result = run_trial(
+            DeploymentSpec(
+                protocol="probft",
+                config=ProtocolConfig(n=8, f=1),
+                seed=42,
+                max_time=5000,
+            )
+        )
         assert result.decided == 8
         assert result.all_decided and result.agreement_ok
         assert result.decided_values == (b"value-0",)

@@ -2,8 +2,8 @@
 
 Covers the two hard guarantees of the refactor:
 
-* every runner surface (legacy wrappers, DeploymentSpec, matrix cells) is
-  one lifecycle — same spec, same result;
+* every runner surface (good_case_metrics, DeploymentSpec, matrix cells)
+  is one lifecycle — same spec, same result;
 * pooled crypto (shared registries + memoized verification) is
   **bit-identical** to fresh per-deployment crypto, serially and across
   worker processes, and pool keying never leaks state across differing
@@ -23,15 +23,16 @@ from repro.crypto.context import (
 from repro.crypto.hashing import digest
 from repro.crypto.signatures import MemoizedSignatureScheme, Signed
 from repro.crypto.vrf import MemoizedVRF, VRFOutput
-from repro.harness.runner import run_hotstuff, run_pbft, run_probft
 from repro.harness.trial import (
     DeploymentSpec,
     TrialContext,
+    good_case_metrics,
     list_protocols,
     register_protocol,
     run_trial,
 )
 from repro.montecarlo.experiments import estimate_protocol_agreement
+from repro.net.latency import ConstantLatency
 
 
 def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int):
@@ -48,20 +49,19 @@ def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int)
 
 
 class TestRunTrialDispatch:
-    def test_equivalent_to_legacy_wrappers(self):
+    def test_good_case_metrics_equivalent_to_spec(self):
         config = ProtocolConfig(n=10, f=2)
-        for protocol, runner in (
-            ("probft", run_probft),
-            ("pbft", run_pbft),
-            ("hotstuff", run_hotstuff),
-        ):
+        for protocol in ("probft", "pbft", "hotstuff"):
             via_spec = run_trial(
                 DeploymentSpec(
-                    protocol=protocol, config=config, seed=7, max_time=500
+                    protocol=protocol,
+                    config=config,
+                    seed=7,
+                    latency=ConstantLatency(1.0),
+                    max_time=10_000,
                 )
             )
-            via_wrapper = runner(config, seed=7, max_time=500)
-            assert via_spec == via_wrapper
+            assert good_case_metrics(protocol, config, seed=7) == via_spec
 
     def test_unknown_protocol_raises_clear_keyerror(self):
         spec = DeploymentSpec(protocol="paxos", config=ProtocolConfig(n=4, f=1))
