@@ -130,7 +130,7 @@ def compute_protocol_cell(n: int = PROTOCOL_N, trials: int = PROTOCOL_TRIALS):
                 timeout_policy=FixedTimeout(20.0),
                 byzantine=byzantine,
                 max_time=5000,
-                extra=(("crypto", crypto),) if crypto is not None else (),
+                crypto=crypto,
             )
         )
 

@@ -40,7 +40,8 @@ class SilentReplica:
 class CrashReplica:
     """Behaves honestly until ``crash_time``, then stops completely.
 
-    Wraps a real honest replica, so pre-crash behaviour is exactly correct.
+    Wraps a real honest ``replica_class`` replica (ProBFT's by default), so
+    pre-crash behaviour is exactly correct.
     """
 
     def __init__(
@@ -50,24 +51,21 @@ class CrashReplica:
         crypto: CryptoContext,
         transport: Transport,
         crash_time: float,
-        inner_factory=None,
+        replica_class: Optional[type] = None,
     ) -> None:
+        from ..core.deployment import default_value
         from ..core.replica import ProBFTReplica
-        from ..core.protocol import default_value
 
         self.id = replica_id
         self.crash_time = crash_time
         self._transport = transport
-        factory = inner_factory or (
-            lambda: ProBFTReplica(
-                replica_id=replica_id,
-                config=config,
-                crypto=crypto,
-                transport=transport,
-                my_value=default_value(replica_id),
-            )
+        self._inner = (replica_class or ProBFTReplica)(
+            replica_id=replica_id,
+            config=config,
+            crypto=crypto,
+            transport=transport,
+            my_value=default_value(replica_id),
         )
-        self._inner = factory()
         self._crashed = False
 
     @property

@@ -10,8 +10,8 @@ that keeps that knowledge out of the harness:
 * :class:`ByzantineBehavior` — one registered adversary implementation: an
   adversary name, the protocol it targets (``None`` = protocol-agnostic),
   and a builder producing the ``byzantine=`` deployment map realizing it.
-* :func:`register_behavior` — ``register_protocol``-style extension point;
-  new protocols (or new attacks) plug in here and the matrix picks them up.
+* :func:`register_behavior` — the extension point: new attacks plug in
+  here and the matrix picks them up.
 * :func:`behavior_for` / :func:`byzantine_map_for` — resolution: an exact
   ``(adversary, protocol)`` entry wins over the ``(adversary, None)``
   wildcard, so protocol-agnostic behaviors (silence, crashes, the targeted
@@ -161,50 +161,6 @@ def _no_replicas(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
     return {}
 
 
-def _honest_replica_factory(protocol: str):
-    """A factory building the protocol's *honest* replica (for CrashReplica)."""
-    if protocol == "probft":
-        return None  # CrashReplica's built-in default
-    if protocol == "pbft":
-        from ..baselines.pbft.protocol import default_value
-        from ..baselines.pbft.replica import PbftReplica
-
-        cls, default = PbftReplica, default_value
-    elif protocol == "hotstuff":
-        from ..baselines.hotstuff.protocol import default_value
-        from ..baselines.hotstuff.replica import HotStuffReplica
-
-        cls, default = HotStuffReplica, default_value
-    else:
-        raise KeyError(f"unknown protocol {protocol!r}")
-
-    def inner(replica_id, config, crypto, transport):
-        return lambda: cls(
-            replica_id=replica_id,
-            config=config,
-            crypto=crypto,
-            transport=transport,
-            my_value=default(replica_id),
-        )
-
-    return inner
-
-
-def _crash_factory_for(protocol: str, crash_time: float):
-    """Protocol-aware crash adversary: honest until ``crash_time``, then dead."""
-    inner = _honest_replica_factory(protocol)
-
-    def build(replica_id, config, crypto, transport):
-        inner_factory = (
-            inner(replica_id, config, crypto, transport) if inner else None
-        )
-        return CrashReplica(
-            replica_id, config, crypto, transport, crash_time, inner_factory
-        )
-
-    return build
-
-
 def _silent_leader(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
     # Silent view-1 leader: the weakest attack that still forces the
     # synchronizer to act, meaningful for every protocol.
@@ -212,10 +168,18 @@ def _silent_leader(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any
 
 
 def _crash_tail(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
-    return {
-        r: _crash_factory_for(protocol, crash_time=CRASH_TIME)
-        for r in range(config.n - config.f, config.n)
-    }
+    # Imported here: the trial layer's package imports this module.
+    from ..harness.trial import deployment_class
+
+    replica_class = deployment_class(protocol).replica_class
+
+    def crash(replica_id, config, crypto, transport):
+        # Honest until CRASH_TIME, running the protocol's own honest replica.
+        return CrashReplica(
+            replica_id, config, crypto, transport, CRASH_TIME, replica_class
+        )
+
+    return {r: crash for r in range(config.n - config.f, config.n)}
 
 
 register_behavior(

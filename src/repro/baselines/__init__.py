@@ -5,6 +5,10 @@
   ``O(n²)`` messages.
 * :mod:`repro.baselines.hotstuff` — single-shot basic HotStuff [58]:
   leader-to-all-to-leader phases, linear messages, ~8 communication steps.
+
+Both deployments are :class:`repro.core.deployment.ConsensusDeployment`
+with their own replica class, so they run through exactly ProBFT's
+simulator, network, crypto and stop-rule wiring.
 """
 
 from .pbft.replica import PbftReplica

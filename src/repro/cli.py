@@ -37,7 +37,7 @@ from .analysis import termination as T
 from .config import ProtocolConfig
 from .harness.adaptive import DEFAULT_CHUNK
 from .harness.tables import render_series, render_table
-from .harness.trial import DeploymentSpec, run_trial
+from .harness.trial import DeploymentSpec, list_protocols, run_trial
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one consensus instance")
     p_run.add_argument(
-        "protocol", choices=["probft", "pbft", "hotstuff"], help="protocol"
+        "protocol", choices=list_protocols(), help="protocol"
     )
     _add_config_args(p_run)
     p_run.add_argument("--max-time", type=float, default=5000.0)

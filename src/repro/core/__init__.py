@@ -4,8 +4,11 @@
   (lines 7–12: newest prepared view, most frequent value).
 * :mod:`repro.core.predicates` — ``safeProposal`` and ``validNewLeader``.
 * :mod:`repro.core.replica` — the replica state machine.
-* :mod:`repro.core.protocol` — deployment wiring: build n replicas on a
+* :mod:`repro.core.deployment` — the consensus-deployment wiring every
+  protocol (ProBFT and both baselines) shares: build n replicas on a
   simulated network and run a consensus instance.
+* :mod:`repro.core.protocol` — :class:`ProBFTDeployment`, that wiring with
+  ProBFT's replica, scale stack and gossip.
 """
 
 from .leader import leader_of, leader_of_view, compute_proposal, mode_values

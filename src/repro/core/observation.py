@@ -14,7 +14,7 @@ recipient might need to block the view and gossip evidence).  The flag is
 maintained in :meth:`inspect`, which sees every message entering the network
 — including the unicast sends equivocating leaders and double-voters use —
 strictly before the corresponding deliveries fire, so the fire-time verdict
-in :meth:`deliverable` is never stale.
+in :meth:`batch_filter` is never stale.
 
 Suppression rules (fire time, honest ``dst`` only; equivocal-flagged views
 are exempt from all of them):
@@ -134,54 +134,20 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
             payload.sample.members(),
         )
 
-    def deliverable(self, message: object, dst: ReplicaId) -> bool:
-        verdict = self.batch_deliverable(message)
-        return True if verdict is True else verdict(dst)
-
-    def batch_deliverable(self, message: object):
-        vote = self._decompose_vote(message)
-        if vote is None:
-            return True
-        is_prepare, view, members = vote
-        # Captured once per fan-out: a mid-bucket flip (a Byzantine recipient
-        # sending a fresh conflicting statement from inside this bucket) is
-        # safe, because the conflicting statement cannot have been delivered
-        # to anyone yet — every honest recipient still holds the one value
-        # this vote carries, so suppressing its out-of-sample copies remains
-        # a no-op for them.
-        equivocal = view in self._equivocal
-        byzantine = self._byzantine
-        replicas = self._replicas
-
-        def verdict(dst: ReplicaId) -> bool:
-            if dst in byzantine:
-                return True
-            replica = replicas[dst]
-            dst_view = replica._cur_view
-            if view < dst_view:
-                return False  # dropped unread by the receiver's view gate
-            if view > dst_view:
-                return True  # buffered for replay on view entry
-            if equivocal:
-                return True  # dense: any recipient may need the evidence
-            if is_prepare:
-                if view in replica._committed_views:
-                    return False  # progress pruning (see module docstring)
-            elif replica._decision is not None:
-                return False  # progress pruning
-            return dst in members
-
-        return verdict
-
     def batch_filter(self, message: object, dsts):
         """One-frame bulk verdict for a coalesced fan-out bucket.
 
-        Exactly :meth:`batch_deliverable`'s per-``dst`` verdict applied to
-        ``dsts`` in order, without a closure call per recipient — this runs
-        for every vote bucket in a trial, so the loop keeps everything in
-        locals.  Delivering to one recipient cannot synchronously change
-        another's state (all sends schedule strictly-future events), so
-        pre-filtering the whole bucket matches interleaved evaluation.
+        The module docstring's suppression rules applied to ``dsts`` in
+        order — this runs for every vote bucket in a trial, so the loop
+        keeps everything in locals.  The equivocation flag is read once per
+        bucket: a mid-bucket flip (a Byzantine recipient sending a fresh
+        conflicting statement from inside this bucket) is safe, because the
+        conflicting statement cannot have been delivered to anyone yet —
+        every honest recipient still holds the one value this vote carries,
+        so suppressing its out-of-sample copies remains a no-op for them.
+        Delivering to one recipient cannot synchronously change another's
+        state (all sends schedule strictly-future events), so pre-filtering
+        the whole bucket matches interleaved evaluation.
         """
         vote = self._decompose_vote(message)
         if vote is None:

@@ -36,7 +36,7 @@ Every protocol-level experiment is one pipeline::
          │                        │
          │                 pooled CryptoContext
          │              (per-process, keyed by (n, master_seed))
-         └── protocol dispatch via the trial registry
+         └── protocol dispatch via the PROTOCOLS mapping
 
 :class:`~repro.harness.trial.DeploymentSpec` declares *what* to run
 (protocol, config, seed, network model, adversary map, budgets);
@@ -47,9 +47,12 @@ their crypto from :meth:`CryptoContext.pooled
 signature/VRF services memoize verification (pure functions only), which
 makes protocol trials several times faster while staying **bit-identical**
 to fresh per-trial crypto — ``tests/test_trial_lifecycle.py`` pins that
-equivalence.  New protocols register once
-(:func:`~repro.harness.trial.register_protocol`) and inherit every
-experiment surface: matrix, estimators, benches, CLI.
+equivalence.  Every protocol's deployment is the one shared
+:class:`~repro.core.deployment.ConsensusDeployment` with its own replica
+class (:data:`~repro.harness.trial.PROTOCOLS` maps names to them), so
+ProBFT, PBFT and HotStuff share simulator, network, crypto and stop-rule
+wiring, and every experiment surface (matrix, estimators, benches, CLI)
+serves all three.
 
 Running sweeps
 ==============
@@ -361,7 +364,6 @@ from .trial import (
     TrialContext,
     good_case_metrics,
     list_protocols,
-    register_protocol,
     run_trial,
 )
 from .metrics import (
@@ -413,7 +415,6 @@ __all__ = [
     "DeploymentSpec",
     "TrialContext",
     "run_trial",
-    "register_protocol",
     "list_protocols",
     "RunResult",
     "good_case_metrics",

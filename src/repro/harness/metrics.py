@@ -125,7 +125,12 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     if lo == hi:
         return ordered[lo]
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    # numpy's lerp: anchor on the nearer endpoint, so the result stays in
+    # [lower, upper] (a weighted sum of the two can round outside it).
+    lower, upper = ordered[lo], ordered[hi]
+    if frac < 0.5:
+        return lower + (upper - lower) * frac
+    return upper - (upper - lower) * (1.0 - frac)
 
 
 class LatencyAccumulator:

@@ -24,32 +24,37 @@ local deliveries, the *latest decision time* equals the protocol's number of
 communication steps in the good case — which is how the Figure-1a bench
 measures steps.
 
-New protocols plug in through :func:`register_protocol` and inherit every
-experiment surface (matrix, estimators, benches, CLI) at once.
+Protocol dispatch is the constant :data:`PROTOCOLS` mapping; every entry is
+the one shared :class:`~repro.core.deployment.ConsensusDeployment` with its
+own replica class, so all protocols run through the same wiring.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..baselines.hotstuff.protocol import HotStuffDeployment
 from ..baselines.pbft.protocol import PbftDeployment
 from ..config import ProtocolConfig
+from ..core.deployment import ConsensusDeployment
 from ..core.protocol import ProBFTDeployment
+from ..crypto.context import CryptoContext
 from ..net.faults import ChaosPolicy
 from ..net.latency import ConstantLatency, LatencyModel
 from ..sync.timeouts import TimeoutPolicy
 from ..types import ReplicaId, Value
 
 __all__ = [
+    "PROTOCOLS",
     "DeploymentSpec",
     "RunResult",
     "TrialContext",
     "good_case_metrics",
+    "deployment_class",
     "list_protocols",
-    "register_protocol",
     "run_trial",
     "SYNCHRONIZER_TYPES",
 ]
@@ -98,56 +103,41 @@ class RunResult:
         return self.last_decision_time
 
 
-#: Deployment constructor signature shared by every registered protocol:
-#: ``(config, seed=, latency=, gst=, chaos=, timeout_policy=, values=,
-#: byzantine=, duplicate_prob=, track_bytes=) -> deployment``.
-DeploymentFactory = Callable[..., Any]
-
-_PROTOCOLS: Dict[str, DeploymentFactory] = {}
-
-
-def register_protocol(name: str, factory: DeploymentFactory) -> None:
-    """Register a deployment constructor under ``name``.
-
-    The factory must accept the keyword arguments a :class:`DeploymentSpec`
-    carries and return an object with the deployment interface
-    (``run``/``decisions``/``correct_ids``/``network``/``sim``/
-    ``agreement_ok``/``decided_values``).
-    """
-    if name in _PROTOCOLS:
-        raise ValueError(f"protocol {name!r} is already registered")
-    _PROTOCOLS[name] = factory
+#: Protocol name → deployment class.  Every class is a
+#: :class:`~repro.core.deployment.ConsensusDeployment` and takes the keyword
+#: arguments a :class:`DeploymentSpec` carries.
+PROTOCOLS: Mapping[str, Type[ConsensusDeployment]] = MappingProxyType(
+    {
+        "probft": ProBFTDeployment,
+        "pbft": PbftDeployment,
+        "hotstuff": HotStuffDeployment,
+    }
+)
 
 
 def list_protocols() -> List[str]:
-    """All registered protocol names, sorted."""
-    return sorted(_PROTOCOLS)
+    """All protocol names, sorted."""
+    return sorted(PROTOCOLS)
 
 
-def _factory(protocol: str) -> DeploymentFactory:
+def deployment_class(protocol: str) -> Type[ConsensusDeployment]:
+    """The deployment class running ``protocol``."""
     try:
-        return _PROTOCOLS[protocol]
+        return PROTOCOLS[protocol]
     except KeyError:
         raise KeyError(
             f"unknown protocol {protocol!r}; registered: "
-            f"{', '.join(sorted(_PROTOCOLS))}"
+            f"{', '.join(list_protocols())}"
         ) from None
-
-
-register_protocol("probft", ProBFTDeployment)
-register_protocol("pbft", PbftDeployment)
-register_protocol("hotstuff", HotStuffDeployment)
 
 
 @dataclass(frozen=True)
 class DeploymentSpec:
     """Everything needed to run one trial, as declarative data.
 
-    ``protocol`` selects the deployment constructor from the protocol
-    registry; the remaining fields are the constructor's keyword arguments
-    plus the driving budgets (``max_time``/``max_events``).  ``extra``
-    carries protocol-specific constructor kwargs (e.g. ``trace=True`` for
-    ProBFT) without widening this class for each one.
+    ``protocol`` selects the deployment class from :data:`PROTOCOLS`; the
+    remaining fields are the constructor's keyword arguments plus the
+    driving budgets (``max_time``/``max_events``).
     """
 
     protocol: str
@@ -181,9 +171,10 @@ class DeploymentSpec:
     #: :attr:`RunResult.peak_mem_mb`.  Costs ~2x wall clock; telemetry only
     #: — it never changes protocol behaviour.
     track_memory: bool = False
+    #: Crypto context to use instead of the per-process pooled one.
+    crypto: Optional[CryptoContext] = None
     max_time: Optional[float] = None
     max_events: int = 5_000_000
-    extra: Tuple[Tuple[str, Any], ...] = ()
 
     def with_seed(self, seed: int) -> "DeploymentSpec":
         """The same trial under a different seed (for seeded fan-out)."""
@@ -217,20 +208,7 @@ class DeploymentSpec:
 
     def build(self):
         """Construct the protocol's deployment (does not run it)."""
-        factory = _factory(self.protocol)
-        kwargs = dict(self.extra)
-        if self.sparse:
-            # Only forwarded when set so third-party factories registered
-            # before the sparse seam keep working untouched.
-            kwargs["sparse"] = True
-        if self.dissemination != "dense":
-            # Same only-when-set contract as ``sparse``.
-            kwargs["dissemination"] = self.dissemination
-            if self.gossip_fanout is not None:
-                kwargs["gossip_fanout"] = self.gossip_fanout
-            if self.gossip_rounds is not None:
-                kwargs["gossip_rounds"] = self.gossip_rounds
-        return factory(
+        return deployment_class(self.protocol)(
             self.config,
             seed=self.seed,
             latency=self.latency,
@@ -241,7 +219,11 @@ class DeploymentSpec:
             byzantine=self.byzantine,
             duplicate_prob=self.duplicate_prob,
             track_bytes=self.track_bytes,
-            **kwargs,
+            crypto=self.crypto,
+            sparse=self.sparse,
+            dissemination=self.dissemination,
+            gossip_fanout=self.gossip_fanout,
+            gossip_rounds=self.gossip_rounds,
         )
 
 
@@ -352,11 +334,7 @@ def good_case_metrics(
     occasionally misses its quorum and a view change fires — legal behaviour,
     but the good-case complexity comparisons condition on view-1 success.
     """
-    if protocol not in list_protocols():
-        raise KeyError(
-            f"unknown protocol {protocol!r}; registered: "
-            f"{', '.join(list_protocols())}"
-        )
+    deployment_class(protocol)  # unknown names fail before any trial runs
     last = None
     for attempt in range(max_retries):
         last = run_trial(

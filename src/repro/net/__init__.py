@@ -26,7 +26,7 @@ from .latency import (
 )
 from .faults import ChaosPolicy, NoChaos, PreGstChaos, Partition
 from .network import Network, MessageStats
-from .sparse import CoalescingDelivery, SparseDeliveryPolicy
+from .sparse import SparseDeliveryPolicy
 from .transport import Transport
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "Network",
     "MessageStats",
     "SparseDeliveryPolicy",
-    "CoalescingDelivery",
     "Transport",
 ]

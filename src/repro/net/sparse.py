@@ -21,10 +21,10 @@ Equivalence contract (what makes sparse == dense bit-identical):
   coalesced event would overshoot, so the fan-out consults
   ``Network.stop_probe`` between recipients and abandons the remainder of
   the bucket once it trips.
-* **Suppression soundness** — ``deliverable(message, dst)`` runs at event
-  *fire* time, not send time.  Deliveries are strictly future, so any state
-  ``dst`` holds at fire time was caused by messages sent strictly earlier;
-  the policy's view of ``dst`` is current when it rules a delivery
+* **Suppression soundness** — ``batch_filter(message, dsts)`` runs at
+  event *fire* time, not send time.  Deliveries are strictly future, so any
+  state ``dst`` holds at fire time was caused by messages sent strictly
+  earlier; the policy's view of ``dst`` is current when it rules a delivery
   unobservable.
 
 The base policy suppresses nothing — pure event coalescing, safe for any
@@ -44,45 +44,21 @@ class SparseDeliveryPolicy:
 
     ``inspect`` sees every message entering the network (unicast included)
     so the policy can track protocol state — e.g. conflicting leader
-    statements — before ruling on observability.  ``deliverable`` is the
-    fire-time verdict; returning ``True`` always is the conservative
+    statements — before ruling on observability.  ``batch_filter`` is the
+    fire-time verdict; keeping every recipient is the conservative
     (dense-equivalent) answer.
     """
 
     def inspect(self, src: ReplicaId, message: object) -> None:
         """Observe a message at send time (default: no-op)."""
 
-    def deliverable(self, message: object, dst: ReplicaId) -> bool:
-        """May ``dst``'s protocol state change if ``message`` arrives now?"""
-        return True
-
-    def batch_deliverable(self, message: object):
-        """Fan-out-level verdict: ``True`` (deliver to everyone) or a
-        ``dst -> bool`` callable.
-
-        Called once per coalesced fan-out event so policies can decompose
-        ``message`` once instead of per recipient; the returned callable
-        must agree with :meth:`deliverable` for every ``dst``.
-        """
-        return True
-
     def batch_filter(self, message: object, dsts: list) -> list:
-        """Bulk form of :meth:`batch_deliverable`: the deliverable subset of
-        ``dsts``, in order.
+        """The subset of one bucket's ``dsts`` whose protocol state may
+        change if ``message`` arrives now, in order (default: all of them).
 
-        This is what :meth:`Network._deliver_fanout` actually calls — one
-        verdict pass per bucket instead of a callable invocation per
-        recipient.  The default derives it from :meth:`batch_deliverable`;
-        policies on hot paths override it with a single-frame loop.
-        Pre-filtering is equivalent to interleaved evaluation because
-        delivering to one recipient never synchronously mutates another
-        (every send schedules a strictly-future event).
+        :meth:`Network._deliver_fanout` calls this once per coalesced
+        bucket.  Pre-filtering is equivalent to interleaved evaluation
+        because delivering to one recipient never synchronously mutates
+        another (every send schedules a strictly-future event).
         """
-        verdict = self.batch_deliverable(message)
-        if verdict is True:
-            return dsts
-        return [dst for dst in dsts if verdict(dst)]
-
-
-#: Alias that reads better at call sites wanting *only* event coalescing.
-CoalescingDelivery = SparseDeliveryPolicy
+        return dsts

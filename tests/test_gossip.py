@@ -22,9 +22,10 @@ import pytest
 
 from repro.config import ProtocolConfig
 from repro.core.leader import leader_of_view
+from repro.core.protocol import ProBFTDeployment
 from repro.errors import ConfigError
 from repro.harness.registry import ADVERSARIES, MatrixCell, cell_deployment_spec
-from repro.harness.trial import DeploymentSpec, run_trial
+from repro.harness.trial import DeploymentSpec, run_trial, summarize
 from repro.net.gossip import (
     GossipDisseminator,
     GossipEnvelope,
@@ -252,23 +253,18 @@ class TestGossipOffIdentity:
         assert checked > 0
 
     def test_explicit_dense_kwarg_equals_omitted(self):
-        """Forwarding ``dissemination="dense"`` explicitly changes nothing
-        (the spec's only-when-set contract is an optimization, not load-
-        bearing semantics)."""
+        """A deployment built without ``dissemination`` runs exactly like
+        the spec, which always forwards ``dissemination="dense"``."""
+        fields = (
+            "seed", "latency", "gst", "chaos", "timeout_policy", "values",
+            "byzantine", "duplicate_prob", "track_bytes",
+        )
         for cell in _probft_cells():
             spec = cell_deployment_spec(cell, seed=0, max_time=MAX_TIME)
-            explicit = run_trial(
-                type(spec)(
-                    **{
-                        **{
-                            f: getattr(spec, f)
-                            for f in spec.__dataclass_fields__
-                        },
-                        "extra": spec.extra + (("dissemination", "dense"),),
-                    }
-                )
-            )
-            assert run_trial(spec) == explicit, cell.label
+            omitted = ProBFTDeployment(
+                spec.config, **{f: getattr(spec, f) for f in fields}
+            ).run(max_time=spec.max_time)
+            assert summarize("probft", omitted) == run_trial(spec), cell.label
 
     def test_with_gossip_round_trip_fields(self):
         spec = DeploymentSpec(protocol="probft", config=ProtocolConfig(n=14, f=2))

@@ -1,7 +1,9 @@
 """Tests for the experiment harness (trial runner and metrics)."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.config import ProtocolConfig
@@ -72,6 +74,17 @@ class TestMetrics:
         assert percentile(values, 100) == 4.0
         assert percentile(values, 50) == pytest.approx(2.5)
         assert percentile([7.0], 99) == 7.0
+
+    def test_percentile_stays_between_neighbours(self):
+        x = 4881.637838138927
+        assert percentile([x, x], 99) == x
+
+    def test_percentile_matches_numpy(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            values = [rng.uniform(0.0, 1e4) for _ in range(rng.randint(1, 40))]
+            q = rng.uniform(0.0, 100.0)
+            assert percentile(values, q) == float(np.percentile(values, q))
 
     def test_percentile_order_insensitive(self):
         assert percentile([3.0, 1.0, 2.0], 50) == 2.0

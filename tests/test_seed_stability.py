@@ -9,8 +9,11 @@ the golden values *in the same commit* and say so in the commit message.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.config import ProtocolConfig
 from repro.harness.parallel import derive_seed
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.trial import DeploymentSpec, run_trial
 from repro.montecarlo.experiments import (
     estimate_prepare_quorum,
@@ -33,8 +36,63 @@ class TestSeedDerivationGoldens:
         assert derive_seed(123, 0) == 16163597885971035396
 
 
+#: (protocol, adversary) -> (decided, decided value, max view, last decision
+#: time, messages by type) for seed 11 of the n=10 uniform-latency cell.
+#: ``crash`` loses the last f replicas at t=1.5; ``silent`` forces one view
+#: change.
+FAULT_CELL_GOLDENS = {
+    ("probft", "crash"): (
+        8, b"value-0", 1, 3.4704985116709555,
+        {"Commit": 72, "Prepare": 90, "Propose": 9},
+    ),
+    ("pbft", "crash"): (
+        8, b"value-0", 1, 3.482145155966837,
+        {"PbftCommit": 72, "PbftPrepare": 90, "PbftPropose": 9},
+    ),
+    ("hotstuff", "crash"): (
+        8, b"value-0", 1, 10.537675121483336,
+        {"HsNewView": 9, "HsProposal": 36, "HsVote": 21},
+    ),
+    ("probft", "silent"): (
+        9, b"value-1", 2, 35.66094191724235,
+        {"Commit": 81, "NewLeader": 8, "Prepare": 81, "Propose": 9,
+         "Wish": 81},
+    ),
+    ("pbft", "silent"): (
+        9, b"value-1", 2, 35.832045497057955,
+        {"PbftCommit": 81, "PbftNewLeader": 8, "PbftPrepare": 81,
+         "PbftPropose": 9, "Wish": 81},
+    ),
+    ("hotstuff", "silent"): (
+        9, b"value-1", 2, 41.38490797354336,
+        {"HsNewView": 17, "HsProposal": 36, "HsVote": 24, "Wish": 81},
+    ),
+}
+
+
 class TestProtocolRunGolden:
-    """One small ProBFT run, fully pinned: decisions, views, traffic."""
+    """Small runs, fully pinned: decisions, views, timing, traffic."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("protocol,adversary", sorted(FAULT_CELL_GOLDENS))
+    def test_fault_cell_seed11(self, protocol, adversary, sparse):
+        cell = MatrixCell(
+            protocol=protocol, adversary=adversary, latency="uniform", n=10, f=2
+        )
+        spec = cell_deployment_spec(cell, seed=11, max_time=300.0)
+        result = run_trial(spec.with_sparse(sparse))
+        decided, value, view, last, by_type = FAULT_CELL_GOLDENS[
+            (protocol, adversary)
+        ]
+        assert result.decided == result.n_correct == decided
+        assert result.agreement_ok
+        assert result.decided_values == (value,)
+        assert result.decision_views == (view,)
+        assert result.max_view == view
+        assert result.last_decision_time == last
+        assert result.sim_time == last
+        assert result.messages_by_type == by_type
+        assert result.total_messages == sum(by_type.values())
 
     def test_probft_n8_seed42(self):
         result = run_trial(

@@ -20,7 +20,7 @@ import pytest
 
 from repro.harness.registry import ADVERSARIES, MatrixCell, cell_deployment_spec
 from repro.harness.trial import run_trial
-from repro.net import CoalescingDelivery, SparseDeliveryPolicy
+from repro.net import SparseDeliveryPolicy
 
 PROTOCOLS = ("probft", "pbft", "hotstuff")
 MAX_TIME = 600.0
@@ -115,7 +115,7 @@ class TestGoldenSeedEquivalence:
                 .build()
                 .network.delivery_policy
             )
-            assert type(policy) is CoalescingDelivery
+            assert type(policy) is SparseDeliveryPolicy
 
 
 class TestLargeNSmoke:

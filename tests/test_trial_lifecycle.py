@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.behaviors import silent_factory
+from repro.adversary.registry import byzantine_map_for
 from repro.config import ProtocolConfig
+from repro.core.deployment import ConsensusDeployment
 from repro.crypto.context import (
     CryptoContext,
     clear_crypto_pool,
@@ -24,11 +27,11 @@ from repro.crypto.hashing import digest
 from repro.crypto.signatures import MemoizedSignatureScheme, Signed
 from repro.crypto.vrf import MemoizedVRF, VRFOutput
 from repro.harness.trial import (
+    PROTOCOLS,
     DeploymentSpec,
     TrialContext,
     good_case_metrics,
     list_protocols,
-    register_protocol,
     run_trial,
 )
 from repro.montecarlo.experiments import estimate_protocol_agreement
@@ -43,7 +46,7 @@ def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int)
         config=config,
         seed=seed,
         max_time=5000,
-        extra=(("crypto", crypto),),
+        crypto=crypto,
     )
     return run_trial(spec)
 
@@ -68,10 +71,6 @@ class TestRunTrialDispatch:
         with pytest.raises(KeyError, match="unknown protocol 'paxos'"):
             run_trial(spec)
 
-    def test_duplicate_protocol_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_protocol("probft", lambda *a, **k: None)
-
     def test_registered_protocols(self):
         assert list_protocols() == ["hotstuff", "pbft", "probft"]
 
@@ -94,6 +93,49 @@ class TestRunTrialDispatch:
         assert context.execute() is result
         assert context.deployment is deployment
         assert deployment.all_correct_decided() == result.all_decided
+
+
+class TestSharedDeployment:
+    """Every protocol runs through the one ConsensusDeployment wiring."""
+
+    def test_baselines_supply_only_replica_class_and_seed_label(self):
+        for name, cls in PROTOCOLS.items():
+            assert issubclass(cls, ConsensusDeployment), name
+        for name in ("pbft", "hotstuff"):
+            own = {
+                k for k in vars(PROTOCOLS[name]) if not k.startswith("__")
+            }
+            assert own == {"replica_class", "seed_label"}, name
+
+    @pytest.mark.parametrize("protocol", ["hotstuff", "pbft", "probft"])
+    def test_more_byzantine_than_f_rejected(self, protocol):
+        spec = DeploymentSpec(
+            protocol=protocol,
+            config=ProtocolConfig(n=7, f=2),
+            byzantine={r: silent_factory() for r in range(3)},
+        )
+        with pytest.raises(ValueError, match="3 Byzantine replicas exceeds f=2"):
+            spec.build()
+
+    @pytest.mark.parametrize("protocol", ["hotstuff", "pbft"])
+    def test_gossip_on_baseline_rejected(self, protocol):
+        spec = DeploymentSpec(
+            protocol=protocol, config=ProtocolConfig(n=7, f=2)
+        ).with_gossip()
+        with pytest.raises(ValueError, match=f"(?i){protocol}.*dense"):
+            spec.build()
+
+    @pytest.mark.parametrize("protocol", ["hotstuff", "pbft", "probft"])
+    def test_crash_adversary_runs_the_protocols_honest_replica(self, protocol):
+        config = ProtocolConfig(n=7, f=2)
+        deployment = DeploymentSpec(
+            protocol=protocol,
+            config=config,
+            byzantine=byzantine_map_for("crash", protocol, config),
+        ).build()
+        for r in deployment.byzantine_ids:
+            inner = deployment.replicas[r]._inner
+            assert type(inner) is PROTOCOLS[protocol].replica_class
 
 
 class TestCryptoPoolDeterminism:
