@@ -60,6 +60,27 @@ def pbft_valid_new_leader(
     config: ProtocolConfig,
     crypto: CryptoContext,
 ) -> bool:
+    """PBFT's ``validNewLeader``, memoized per deployment like ProBFT's
+    (every replica re-checks the same justification envelopes; see
+    :func:`repro.core.predicates.valid_new_leader`)."""
+    return crypto.verdicts.verdict(
+        ("pbft-new-leader", id(signed), target_view),
+        signed,
+        config,
+        _check_pbft_new_leader,
+        signed,
+        target_view,
+        config,
+        crypto,
+    )
+
+
+def _check_pbft_new_leader(
+    signed: Signed,
+    target_view: View,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+) -> bool:
     if not crypto.signatures.verify(signed):
         return False
     msg = signed.payload

@@ -15,6 +15,11 @@ Correct replicas *redo the leader's computation* on the justification set
 propose a value that contradicts what a (deterministic-quorum) majority
 prepared in the latest view — this is what protects decisions across view
 changes (Theorem 8).
+
+Every correct replica receives the *same* Propose object, and with it the
+same NewLeader envelopes, so :func:`valid_new_leader` stores its verdict in
+the deployment's :class:`~repro.crypto.verdicts.VerdictMemo`: each
+justification is validated once per deployment, not once per receiver.
 """
 
 from __future__ import annotations
@@ -45,7 +50,37 @@ def valid_new_leader(
     ``leader_fn`` defaults to the config's offset-aware round-robin schedule
     (``leader_of``); pass an explicit ``(view, n) -> id`` callable to audit
     against a different schedule.
+
+    Under the default schedule the verdict is a pure function of ``(signed,
+    target_view, config, crypto)`` — the holder is ``signed.signer`` — so it
+    is memoized per deployment in ``crypto.verdicts``: keyed on the
+    envelope's identity and ``target_view``, with ``config``
+    identity-checked on every hit.  An explicit ``leader_fn`` is an audit
+    and always runs the full check.
     """
+    if leader_fn is not None:
+        return _check_new_leader(signed, target_view, config, crypto, leader_fn)
+    return crypto.verdicts.verdict(
+        ("new-leader", id(signed), target_view),
+        signed,
+        config,
+        _check_new_leader,
+        signed,
+        target_view,
+        config,
+        crypto,
+        leader_fn,
+    )
+
+
+def _check_new_leader(
+    signed: Signed,
+    target_view: View,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+    leader_fn: Optional[LeaderFn],
+) -> bool:
+    """The unmemoized ``validNewLeader`` check behind :func:`valid_new_leader`."""
     if not crypto.signatures.verify(signed):
         return False
     msg = signed.payload

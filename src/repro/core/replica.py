@@ -56,10 +56,11 @@ DecisionCallback = Callable[[Decision], None]
 class _VoteToken:
     """Recipient-independent validation of one Prepare/Commit vote.
 
-    Computed once per coalesced fan-out event and shared by every recipient
-    in the bucket (see :meth:`ProBFTReplica.on_sample_message`).  Everything
-    here is a pure function of the message and the deployment's shared
-    crypto/config, never of the receiving replica.
+    Computed once per vote envelope per deployment (see
+    :func:`prevalidate_vote`) and shared read-only by every recipient of
+    every fan-out bucket the envelope travels in.  Everything here is a pure
+    function of the message and the deployment's shared crypto/config, never
+    of the receiving replica.
     """
 
     __slots__ = (
@@ -89,19 +90,40 @@ def prevalidate_vote(
 ) -> Optional[_VoteToken]:
     """Recipient-independent validation of a Signed Prepare/Commit.
 
-    Pure function of the message and the deployment's shared crypto/config;
-    computed once per coalesced fan-out and shared by every recipient.
-    ``None`` means the message is not a well-formed vote at all.
+    Pure function of the message and the deployment's shared crypto/config,
+    so the token is memoized in ``crypto.verdicts`` (keyed on the envelope's
+    identity, ``config`` identity-checked): every bucket of every fan-out
+    of one vote shares it.  ``None`` means the message is not a well-formed
+    vote at all.
     """
+    # Only well-formed votes enter the memo: the fan-outs this is called on
+    # are mostly Wish/Propose/NewLeader broadcasts.
     if not isinstance(message, Signed):
         return None
     payload = message.payload
-    if not isinstance(payload, (Prepare, Commit)):
+    if not isinstance(payload, (Prepare, Commit)) or not isinstance(
+        getattr(payload.statement, "payload", None), ProposalStatement
+    ):
         return None
+    return crypto.verdicts.verdict(
+        ("vote", id(message)),
+        message,
+        config,
+        _vote_token,
+        config,
+        crypto,
+        message,
+    )
+
+
+def _vote_token(
+    config: ProtocolConfig, crypto: CryptoContext, message: Signed
+) -> _VoteToken:
+    """The unmemoized validation behind :func:`prevalidate_vote`, for a
+    Signed Prepare/Commit over a :class:`ProposalStatement`."""
+    payload = message.payload
     statement = payload.statement
-    inner = getattr(statement, "payload", None)
-    if not isinstance(inner, ProposalStatement):
-        return None
+    inner = statement.payload
     view = inner.view
     domain_ok = inner.domain == config.seed_domain
     leader_ok = (
@@ -276,20 +298,17 @@ class ProBFTReplica:
             return
         self._process_current(src, message)
 
-    def on_sample_message(self, src: ReplicaId, message: object, shared: dict) -> None:
+    def on_sample_message(self, src: ReplicaId, message: object) -> None:
         """Batched delivery entry point for coalesced fan-outs (sparse mode).
 
-        Recipients of one fan-out event share the recipient-independent
-        validation work (signatures, leader check, VRF) through a
-        :class:`_VoteToken` stashed in ``shared``; each recipient then does
-        only its own per-replica steps, replicating :meth:`on_message`'s
-        observable behaviour exactly.  Anything that is not a plain
-        current-view vote falls back to the generic path.
+        The recipient-independent validation (signatures, leader check, VRF)
+        comes from :func:`prevalidate_vote`, which every recipient of the
+        same envelope reads from the deployment's verdict memo; each
+        recipient then does only its own per-replica steps, replicating
+        :meth:`on_message`'s observable behaviour exactly.  Anything that is
+        not a plain current-view vote falls back to the generic path.
         """
-        token = shared.get("vote", False)
-        if token is False:
-            token = self._prevalidate_vote(message)
-            shared["vote"] = token
+        token = prevalidate_vote(self.config, self._crypto, message)
         if token is None:
             self.on_message(src, message)
             return
@@ -329,14 +348,6 @@ class ProBFTReplica:
                 self._try_form_prepared()
             else:
                 self._try_decide()
-
-    def _prevalidate_vote(self, message: object) -> Optional[_VoteToken]:
-        """The recipient-independent slice of :meth:`_verify_vote`.
-
-        Returns ``None`` for anything that is not a well-formed Signed
-        Prepare/Commit — those take the generic :meth:`on_message` path.
-        """
-        return prevalidate_vote(self.config, self._crypto, message)
 
     # ------------------------------------------------------------------
     # Dispatch helpers

@@ -16,12 +16,16 @@ implements *behaviourally faithful* stand-ins (see DESIGN.md, Substitutions):
 * :mod:`repro.crypto.context` — one bundle of the above per deployment, and
   the per-process :meth:`CryptoContext.pooled` cache that amortizes key
   derivation and verification across trials of the same ``(n, master_seed)``.
+* :mod:`repro.crypto.verdicts` — the per-deployment :class:`VerdictMemo`
+  that lets the protocol checks every replica runs on one shared envelope
+  run once per deployment.
 """
 
 from .context import CryptoContext, clear_crypto_pool, crypto_pool_stats
 from .hashing import digest, digest_hex, stable_encode
 from .keys import KeyPair, KeyRegistry
 from .signatures import MemoizedSignatureScheme, SignatureScheme, Signed
+from .verdicts import VerdictMemo
 from .vrf import VRF, MemoizedVRF, VRFOutput
 
 __all__ = [
@@ -33,6 +37,7 @@ __all__ = [
     "SignatureScheme",
     "MemoizedSignatureScheme",
     "Signed",
+    "VerdictMemo",
     "VRF",
     "MemoizedVRF",
     "VRFOutput",

@@ -13,6 +13,10 @@ Two construction paths:
   their inputs, so pooled and fresh contexts are bit-identical by
   construction (and pinned by tests).
 
+Both paths give each context its own :class:`~repro.crypto.verdicts.VerdictMemo`
+(see :class:`CryptoContext`), so there is one code path for the memoized
+protocol checks whichever way a deployment was built.
+
 The pool is deliberately per-process: worker processes of a
 :class:`~repro.harness.parallel.ExperimentEngine` each grow their own pool,
 which keeps the bit-identity guarantee trivially (no cross-process state)
@@ -24,11 +28,12 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .keys import KeyRegistry
 from .signatures import MemoizedSignatureScheme, SignatureScheme
+from .verdicts import VerdictMemo
 from .vrf import VRF, MemoizedVRF
 
 #: Upper bound on pooled contexts kept alive; least-recently-used entries
@@ -63,6 +68,20 @@ def memo_budget(n: int) -> Tuple[int, int]:
     return budget, entry_bytes
 
 
+def envelope_entries(n: int) -> int:
+    """Entry cap of the per-deployment, envelope-keyed memos (verify and
+    verdicts).
+
+    A view of a size-``n`` trial signs ~2n vote envelopes; the cap admits
+    ``4n + 64`` entries, so one trial's envelopes fit without FIFO eviction.
+    Entries pin shallow object graphs (~1 KiB amortized; the fat sample
+    tuples are shared with the VRF memo), so at 1 KiB per entry the cap is
+    clamped to the [floor, ceiling] byte bounds.
+    """
+    budget = min(MEMO_BUDGET_CEILING, max(MEMO_BUDGET_FLOOR, (4 * n + 64) * 1024))
+    return budget // 1024
+
+
 @dataclass(frozen=True)
 class CryptoContext:
     """Registry + signature scheme + VRF, created from one master seed.
@@ -70,11 +89,21 @@ class CryptoContext:
     Every replica (and the adversary, for its corrupted replicas) shares one
     context per deployment, mirroring the paper's "keys are distributed
     before the system starts" assumption (§2.1).
+
+    ``verdicts`` is the deployment's :class:`VerdictMemo`: the recipient-
+    independent checks every replica runs on the same shared envelope
+    (``valid_new_leader`` on a justification, ``prevalidate_vote`` on a
+    Prepare/Commit, PBFT's ``pbft_valid_new_leader``) store their verdicts
+    there, keyed by envelope identity, so each envelope is validated once
+    per deployment instead of once per receiver.  Both :meth:`create` and
+    :meth:`pooled` build a fresh one (never pooled: it pins envelopes), and
+    the memoized checks are pure, so results stay bit-identical.
     """
 
     registry: KeyRegistry
     signatures: SignatureScheme
     vrf: VRF
+    verdicts: VerdictMemo = field(compare=False, repr=False)
 
     @staticmethod
     def create(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
@@ -83,6 +112,7 @@ class CryptoContext:
             registry=registry,
             signatures=SignatureScheme(registry),
             vrf=VRF(registry),
+            verdicts=VerdictMemo(envelope_entries(n)),
         )
 
     @staticmethod
@@ -139,22 +169,12 @@ class CryptoContext:
                 else:
                     _POOL_STATS["hits"] += 1
         registry, vrf = entry
+        entries = envelope_entries(n)
         return CryptoContext(
             registry=registry,
-            # ~2n vote envelopes per trial: size the per-deployment verify
-            # memo so one trial's envelopes fit without FIFO eviction.
-            # Envelope entries pin shallow object graphs (~1 KiB amortized;
-            # the fat sample tuples are shared with the VRF memo), so the
-            # budget admits 4n+64 entries until the ceiling binds.
-            signatures=MemoizedSignatureScheme(
-                registry,
-                byte_budget=min(
-                    MEMO_BUDGET_CEILING,
-                    max(MEMO_BUDGET_FLOOR, (4 * n + 64) * 1024),
-                ),
-                entry_bytes=1024,
-            ),
+            signatures=MemoizedSignatureScheme(registry, max_entries=entries),
             vrf=vrf,
+            verdicts=VerdictMemo(entries),
         )
 
     @property

@@ -47,7 +47,15 @@ their crypto from :meth:`CryptoContext.pooled
 signature/VRF services memoize verification (pure functions only), which
 makes protocol trials several times faster while staying **bit-identical**
 to fresh per-trial crypto — ``tests/test_trial_lifecycle.py`` pins that
-equivalence.  Every protocol's deployment is the one shared
+equivalence.  Every context, pooled or fresh, also carries a
+per-deployment :class:`~repro.crypto.verdicts.VerdictMemo`: the checks all
+``n`` replicas run on the same shared envelope (``valid_new_leader`` on a
+view-change justification, ``prevalidate_vote`` on a Prepare/Commit, PBFT's
+``pbft_valid_new_leader``) run once per envelope, keyed by its identity
+with config identity-checked, so a view change costs
+one certificate validation per NewLeader instead of one per receiver —
+``tests/test_verdict_memo.py`` pins that forgeries and equivocations still
+take the full check.  Every protocol's deployment is the one shared
 :class:`~repro.core.deployment.ConsensusDeployment` with its own replica
 class (:data:`~repro.harness.trial.PROTOCOLS` maps names to them), so
 ProBFT, PBFT and HotStuff share simulator, network, crypto and stop-rule

@@ -26,9 +26,10 @@ from .sparse import SparseDeliveryPolicy
 DeliveryHandler = Callable[[ReplicaId, object], None]
 
 #: Batched handler used inside coalesced fan-outs (sparse mode only):
-#: ``handler(src, message, shared)`` where ``shared`` is a scratch dict the
-#: recipients of one fan-out event use to share message-level validation work.
-BatchDeliveryHandler = Callable[[ReplicaId, object, dict], None]
+#: ``handler(src, message)``, the recipient's fast path for a fan-out
+#: delivery (message-level validation is memoized per deployment, see
+#: :class:`~repro.crypto.verdicts.VerdictMemo`).
+BatchDeliveryHandler = Callable[[ReplicaId, object], None]
 
 
 def message_type_name(message: object) -> str:
@@ -471,7 +472,6 @@ class Network:
         batch_handlers = self._batch_handlers
         batch_get = batch_handlers.get
         probe = self.stop_probe
-        shared: dict = {}
         delivered = 0
         try:
             for dst in dsts:
@@ -480,7 +480,7 @@ class Network:
                 delivered += 1
                 batch = batch_get(dst)
                 if batch is not None:
-                    batch(src, message, shared)
+                    batch(src, message)
                 else:
                     handlers[dst](src, message)
         finally:

@@ -9,7 +9,10 @@ Bracha-style amplification:
 * on seeing wishes from ``2f+1`` distinct replicas it *enters* ``v'`` and
   notifies the protocol via ``newView(v')``.
 
-Per-sender we track only the *highest* view wished, so the state is O(n).
+Per-sender we track only the *highest* view wished, so the state is O(n),
+plus a histogram of how many senders' highest wish is each view, so the
+relay/enter rules scan the few distinct views instead of sorting all ``n``
+wishes on every received wish.
 After GST, if any correct replica is stuck, timers eventually fire, wishes
 amplify, and all correct replicas converge to a common view with a timeout
 long enough to decide (given a growing :class:`TimeoutPolicy`).
@@ -72,6 +75,8 @@ class ViewSynchronizer:
         self._current_view: View = 0
         self._max_wish_sent: View = 0
         self._highest_wish: Dict[ReplicaId, View] = {}
+        # view -> number of replicas whose highest wish is exactly that view.
+        self._wish_count: Dict[View, int] = {}
         self._timer = None
         self._stopped = False
 
@@ -100,10 +105,9 @@ class ViewSynchronizer:
             return
         if wish.domain != self._domain:
             return
-        previous = self._highest_wish.get(src, 0)
-        if wish.view <= previous:
+        if wish.view <= self._highest_wish.get(src, 0):
             return
-        self._highest_wish[src] = wish.view
+        self._raise_wish(src, wish.view)
         self._react_to_wishes()
 
     # ------------------------------------------------------------------
@@ -118,12 +122,30 @@ class ViewSynchronizer:
         if enter_view is not None and enter_view > self._current_view:
             self._enter_view(enter_view)
 
+    def _raise_wish(self, replica: ReplicaId, view: View) -> None:
+        """Record ``view`` as ``replica``'s new (higher) highest wish."""
+        counts = self._wish_count
+        previous = self._highest_wish.get(replica)
+        if previous is not None:
+            left = counts[previous] - 1
+            if left:
+                counts[previous] = left
+            else:
+                del counts[previous]
+        self._highest_wish[replica] = view
+        counts[view] = counts.get(view, 0) + 1
+
     def _kth_highest_wish(self, k: int) -> Optional[View]:
-        """Largest view wished-for by at least ``k`` distinct replicas."""
+        """Largest view wished-for by at least ``k`` distinct replicas: the
+        ``k``-th largest of the per-replica highest wishes."""
         if len(self._highest_wish) < k:
             return None
-        views = sorted(self._highest_wish.values(), reverse=True)
-        return views[k - 1]
+        counts = self._wish_count
+        for view in sorted(counts, reverse=True):
+            k -= counts[view]
+            if k <= 0:
+                return view
+        return None  # unreachable: the counts sum to len(_highest_wish)
 
     def _send_wish(self, view: View) -> None:
         self._max_wish_sent = view
@@ -131,9 +153,9 @@ class ViewSynchronizer:
             self._transport.replica, Wish(view=view, domain=self._domain)
         )
         # A wish counts for its own sender too.
-        mine = self._highest_wish.get(self._transport.replica, 0)
-        if view > mine:
-            self._highest_wish[self._transport.replica] = view
+        me = self._transport.replica
+        if view > self._highest_wish.get(me, 0):
+            self._raise_wish(me, view)
         self._transport.broadcast(signed)
         self._react_to_wishes()
 

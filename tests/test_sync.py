@@ -162,3 +162,30 @@ class TestViewSynchronizer:
         cluster.sim.run(until=50.0)
         # Only one distinct wisher counted at replica 0 -> no relay to view 2.
         assert cluster.syncs[0].current_view == 1
+
+
+class TestWishHistogram:
+    def test_kth_highest_matches_sorted_reference(self):
+        """The per-view histogram answers exactly what sorting every
+        replica's highest wish answers, through relays and view entries."""
+        import random
+
+        n, f = 10, 3
+        cluster = SyncCluster(n=n, f=f, timeout=FixedTimeout(1000.0))
+        cluster.start()
+        sync = cluster.syncs[0]
+        rng = random.Random(5)
+        for _ in range(200):
+            signer = rng.randrange(1, n)
+            wish = cluster.crypto.signatures.sign(
+                signer, Wish(view=rng.randrange(1, 12))
+            )
+            sync.on_wish(signer, wish)
+            highest = sorted(sync._highest_wish.values(), reverse=True)
+            counts = {}
+            for view in highest:
+                counts[view] = counts.get(view, 0) + 1
+            assert sync._wish_count == counts
+            for k in range(1, n + 2):
+                expected = highest[k - 1] if len(highest) >= k else None
+                assert sync._kth_highest_wish(k) == expected
